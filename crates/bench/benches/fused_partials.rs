@@ -4,9 +4,10 @@
 //! The workload is the tentpole's acceptance shape: 50 distinct queries
 //! (10 unique plans × 5 aggregate variants) over a 4-window trial-axis
 //! catalog.  The per-query path scans `queries × windows = 200` times;
-//! the fused planner groups the batch by `(shard, clipped window)` and
-//! scans each window **once**, so the served batch performs at most 8
-//! shard scans (4 per batch, tolerating one batch split).  The
+//! the grid executor dedups the batch to its 10 scan specs, groups their
+//! missing cells by `(segment range, clipped window)` and scans each
+//! window **once**, so the served batch performs at most 8 cell scans
+//! (4 per batch, tolerating one batch split).  The
 //! `fused_equivalence` target asserts bit-identity first — every fused
 //! partial equals its lone per-query scan and every stitched result
 //! equals the in-memory session — then gates the fused path at ≥3× the
@@ -19,17 +20,14 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
-use catrisk_eventgen::peril::Region;
-use catrisk_finterms::layer::LayerId;
+use catrisk_bench::workload::build_store;
 use catrisk_riskquery::prelude::*;
 use catrisk_riskquery::{
-    combine_trial_partial_refs, scan_trial_partial, scan_trial_partials_fused, QueryPlan,
-    TrialPartial,
+    combine_trial_partial_refs, group_by_key, scan_trial_partial, scan_trial_partials_fused,
+    QueryPlan, TrialPartial,
 };
 use catrisk_riskserve::{Server, ServerConfig, ShardAxis, StoreCatalog};
 use catrisk_riskstore::{StoreOptions, StoreWriter};
-use catrisk_simkit::rng::RngFactory;
 
 fn quick() -> bool {
     std::env::var("CATRISK_BENCH_QUICK").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
@@ -41,41 +39,6 @@ fn trials() -> usize {
     } else {
         20_000
     }
-}
-
-/// A CI-sized production-shaped store (same construction as the
-/// trial-sharded bench, so the reports are comparable).
-fn build_store(trials: usize, books: usize, seed: u64) -> ResultStore {
-    let factory = RngFactory::new(seed).derive("fused-partials-bench");
-    let mut store = ResultStore::new(trials);
-    let mut segment = 0u64;
-    for book in 0..books {
-        let region = Region::ALL[book % Region::ALL.len()];
-        let lob = LineOfBusiness::ALL[book % LineOfBusiness::ALL.len()];
-        for peril in region.active_perils() {
-            let mut rng = factory.stream(segment);
-            segment += 1;
-            let outcomes: Vec<TrialOutcome> = (0..trials)
-                .map(|_| {
-                    let year = if rng.uniform() < 0.25 {
-                        rng.uniform() * 5.0e6
-                    } else {
-                        0.0
-                    };
-                    TrialOutcome {
-                        year_loss: year,
-                        max_occurrence_loss: year * rng.uniform(),
-                        nonzero_events: u32::from(year > 0.0),
-                    }
-                })
-                .collect();
-            let meta = SegmentMeta::new(LayerId(book as u32), *peril, region, lob);
-            store
-                .ingest(&YearLossTable::new(LayerId(book as u32), outcomes), meta)
-                .expect("ingest");
-        }
-    }
-    store
 }
 
 /// 50 distinct full-axis queries that dedup to 10 unique plans: five
@@ -104,7 +67,9 @@ fn query_fleet(count: usize) -> Vec<Query> {
                 0 => builder.aggregate(Aggregate::Mean),
                 1 => builder.aggregate(Aggregate::Tvar { level: 0.99 }),
                 2 => builder.aggregate(Aggregate::Var { level: 0.99 }),
-                3 => builder.aggregate(Aggregate::MaxLoss).aggregate(Aggregate::AttachProb),
+                3 => builder
+                    .aggregate(Aggregate::MaxLoss)
+                    .aggregate(Aggregate::AttachProb),
                 _ => builder.aggregate(Aggregate::EpCurve {
                     basis: Basis::Aep,
                     points: 8,
@@ -177,20 +142,32 @@ fn remove(paths: &[PathBuf]) {
 }
 
 /// All 50 queries' partials for every window through the fused scan:
-/// 4 walks total.
+/// 4 walks total, over the 10 plans the queries' scan specs dedup to
+/// (`group_by_key`, the serving executor's one dedup rule), fanned back
+/// out per query.
 fn fused_partials(
     store: &ResultStore,
+    queries: &[Query],
     plans: &[QueryPlan],
     cuts: &[(usize, usize)],
 ) -> Vec<Vec<TrialPartial>> {
-    let plan_refs: Vec<&QueryPlan> = plans.iter().collect();
+    let specs = group_by_key(
+        queries
+            .iter()
+            .enumerate()
+            .map(|(index, query)| (query.scan_spec(), index)),
+    );
+    let unique: Vec<&QueryPlan> = specs
+        .iter()
+        .map(|(_, members)| &plans[members[0]])
+        .collect();
     let mut parts: Vec<Vec<TrialPartial>> = (0..plans.len()).map(|_| Vec::new()).collect();
     for &(start, end) in cuts {
-        for (per_query, partial) in parts
-            .iter_mut()
-            .zip(scan_trial_partials_fused(store, &plan_refs, start, end))
-        {
-            per_query.push(partial);
+        let scanned = scan_trial_partials_fused(store, &unique, start, end);
+        for ((_, members), partial) in specs.iter().zip(scanned) {
+            for &member in members {
+                parts[member].push(partial.clone());
+            }
         }
     }
     parts
@@ -214,7 +191,7 @@ fn solo_partials(
 }
 
 fn fused_partials_scan(c: &mut Criterion) {
-    let store = build_store(trials(), 8, 2012);
+    let store = build_store(trials(), 8, 2012, "fused-partials-bench");
     let queries = query_fleet(50);
     let plans: Vec<QueryPlan> = queries
         .iter()
@@ -225,7 +202,7 @@ fn fused_partials_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("fused_partials");
     group.sample_size(10);
     group.bench_function("fused_50_queries_4_windows", |b| {
-        b.iter(|| criterion::black_box(fused_partials(&store, &plans, &cuts)))
+        b.iter(|| criterion::black_box(fused_partials(&store, &queries, &plans, &cuts)))
     });
     group.bench_function("per_query_50_queries_4_windows", |b| {
         b.iter(|| criterion::black_box(solo_partials(&store, &plans, &cuts)))
@@ -238,7 +215,7 @@ fn fused_partials_scan(c: &mut Criterion) {
 /// throughput gate, then the served batch's ≤8 shard scans for the
 /// 50 × 4 workload.
 fn fused_equivalence(_c: &mut Criterion) {
-    let base = Arc::new(build_store(trials(), 8, 2012));
+    let base = Arc::new(build_store(trials(), 8, 2012, "fused-partials-bench"));
     let queries = query_fleet(50);
     let expected = QuerySession::new(&*base).run(&queries).expect("reference");
     let plans: Vec<QueryPlan> = queries
@@ -256,7 +233,7 @@ fn fused_equivalence(_c: &mut Criterion) {
     let mut solo_elapsed = Duration::MAX;
     for _ in 0..3 {
         let started = Instant::now();
-        fused = fused_partials(&base, &plans, &cuts);
+        fused = fused_partials(&base, &queries, &plans, &cuts);
         fused_elapsed = fused_elapsed.min(started.elapsed());
         let started = Instant::now();
         solo = solo_partials(&base, &plans, &cuts);
@@ -305,10 +282,14 @@ fn fused_equivalence(_c: &mut Criterion) {
         );
     }
     let stats = server.stats();
+    // One worker: a spec's cells are published before any later batch
+    // probes them, so each (scan spec, window) cell misses exactly once
+    // however the 50 queries split into batches.
+    let specs = group_by_key(queries.iter().map(|query| (query.scan_spec(), ()))).len();
     assert_eq!(
         stats.partial_misses,
-        (queries.len() * cuts.len()) as u64,
-        "every (query, window) pair misses cold: {stats:?}"
+        (specs * cuts.len()) as u64,
+        "every (scan spec, window) cell misses cold, once: {stats:?}"
     );
     assert!(
         stats.fused_partial_scans <= 8,

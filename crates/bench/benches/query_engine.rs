@@ -12,47 +12,9 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
-use catrisk_eventgen::peril::{Peril, Region};
-use catrisk_finterms::layer::LayerId;
+use catrisk_bench::workload::build_store;
+use catrisk_eventgen::peril::Peril;
 use catrisk_riskquery::prelude::*;
-use catrisk_simkit::rng::RngFactory;
-
-/// A production-shaped store: every active (peril, region) cell of several
-/// books becomes a segment, mirroring what `SegmentedInput` produces from
-/// the catastrophe-model pipeline.
-fn build_store(trials: usize, books: usize, seed: u64) -> ResultStore {
-    let factory = RngFactory::new(seed).derive("query-bench");
-    let mut store = ResultStore::new(trials);
-    let mut segment = 0u64;
-    for book in 0..books {
-        let region = Region::ALL[book % Region::ALL.len()];
-        let lob = LineOfBusiness::ALL[book % LineOfBusiness::ALL.len()];
-        for peril in region.active_perils() {
-            let mut rng = factory.stream(segment);
-            segment += 1;
-            let outcomes: Vec<TrialOutcome> = (0..trials)
-                .map(|_| {
-                    let year = if rng.uniform() < 0.25 {
-                        rng.uniform() * 5.0e6
-                    } else {
-                        0.0
-                    };
-                    TrialOutcome {
-                        year_loss: year,
-                        max_occurrence_loss: year * rng.uniform(),
-                        nonzero_events: u32::from(year > 0.0),
-                    }
-                })
-                .collect();
-            let meta = SegmentMeta::new(LayerId(book as u32), *peril, region, lob);
-            store
-                .ingest(&YearLossTable::new(LayerId(book as u32), outcomes), meta)
-                .expect("ingest");
-        }
-    }
-    store
-}
 
 /// A representative ad-hoc batch: three distinct scan specs, each asked for
 /// several metric sets (the typical "mean + VaR + TVaR + EP curve of the
@@ -134,7 +96,7 @@ fn single_query_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_single_latency");
     group.sample_size(20);
     for &trials in &[10_000usize, 40_000] {
-        let store = build_store(trials, 12, 2012);
+        let store = build_store(trials, 12, 2012, "query-bench");
         let query = QueryBuilder::new()
             .with_perils([Peril::Hurricane, Peril::Flood])
             .group_by(Dimension::Region)
@@ -150,7 +112,7 @@ fn single_query_latency(c: &mut Criterion) {
 }
 
 fn batched_vs_naive(c: &mut Criterion) {
-    let store = build_store(20_000, 12, 2012);
+    let store = build_store(20_000, 12, 2012, "query-bench");
     let queries = query_batch();
     let mut group = c.benchmark_group("query_batched_throughput");
     group.sample_size(15);
@@ -171,7 +133,7 @@ fn batched_vs_naive(c: &mut Criterion) {
 
 /// Prints the measured batched-vs-naive speedup (the acceptance number).
 fn batched_speedup(_c: &mut Criterion) {
-    let store = build_store(20_000, 12, 2012);
+    let store = build_store(20_000, 12, 2012, "query-bench");
     let queries = query_batch();
     let session = QuerySession::new(&store);
     // Warm up and verify equivalence once.

@@ -19,12 +19,10 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
-use catrisk_eventgen::peril::{Peril, Region};
-use catrisk_finterms::layer::LayerId;
+use catrisk_bench::workload::build_store;
+use catrisk_eventgen::peril::Peril;
 use catrisk_riskquery::prelude::*;
 use catrisk_riskserve::{Server, ServerConfig, Ticket};
-use catrisk_simkit::rng::RngFactory;
 
 const CLIENTS: usize = 32;
 
@@ -41,44 +39,9 @@ fn requests_per_client() -> usize {
     }
 }
 
-/// A CI-sized production-shaped store (same construction as the
-/// query-engine bench).
-fn build_store(trials: usize, books: usize, seed: u64) -> ResultStore {
-    let factory = RngFactory::new(seed).derive("serve-bench");
-    let mut store = ResultStore::new(trials);
-    let mut segment = 0u64;
-    for book in 0..books {
-        let region = Region::ALL[book % Region::ALL.len()];
-        let lob = LineOfBusiness::ALL[book % LineOfBusiness::ALL.len()];
-        for peril in region.active_perils() {
-            let mut rng = factory.stream(segment);
-            segment += 1;
-            let outcomes: Vec<TrialOutcome> = (0..trials)
-                .map(|_| {
-                    let year = if rng.uniform() < 0.25 {
-                        rng.uniform() * 5.0e6
-                    } else {
-                        0.0
-                    };
-                    TrialOutcome {
-                        year_loss: year,
-                        max_occurrence_loss: year * rng.uniform(),
-                        nonzero_events: u32::from(year > 0.0),
-                    }
-                })
-                .collect();
-            let meta = SegmentMeta::new(LayerId(book as u32), *peril, region, lob);
-            store
-                .ingest(&YearLossTable::new(LayerId(book as u32), outcomes), meta)
-                .expect("ingest");
-        }
-    }
-    store
-}
-
 fn ci_sized_store() -> ResultStore {
     let trials = if quick() { 5_000 } else { 20_000 };
-    build_store(trials, 12, 2012)
+    build_store(trials, 12, 2012, "serve-bench")
 }
 
 /// The mixed interactive workload: several distinct scan specs, several

@@ -15,13 +15,10 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
-use catrisk_eventgen::peril::Region;
-use catrisk_finterms::layer::LayerId;
+use catrisk_bench::workload::build_store;
 use catrisk_riskquery::prelude::*;
 use catrisk_riskserve::{Server, ServerConfig, SourceProvider, StoreCatalog};
 use catrisk_riskstore::StoreWriter;
-use catrisk_simkit::rng::RngFactory;
 
 fn quick() -> bool {
     std::env::var("CATRISK_BENCH_QUICK").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
@@ -33,41 +30,6 @@ fn trials() -> usize {
     } else {
         20_000
     }
-}
-
-/// A CI-sized production-shaped store (same construction as the serving
-/// bench).
-fn build_store(trials: usize, books: usize, seed: u64) -> ResultStore {
-    let factory = RngFactory::new(seed).derive("sharded-bench");
-    let mut store = ResultStore::new(trials);
-    let mut segment = 0u64;
-    for book in 0..books {
-        let region = Region::ALL[book % Region::ALL.len()];
-        let lob = LineOfBusiness::ALL[book % LineOfBusiness::ALL.len()];
-        for peril in region.active_perils() {
-            let mut rng = factory.stream(segment);
-            segment += 1;
-            let outcomes: Vec<TrialOutcome> = (0..trials)
-                .map(|_| {
-                    let year = if rng.uniform() < 0.25 {
-                        rng.uniform() * 5.0e6
-                    } else {
-                        0.0
-                    };
-                    TrialOutcome {
-                        year_loss: year,
-                        max_occurrence_loss: year * rng.uniform(),
-                        nonzero_events: u32::from(year > 0.0),
-                    }
-                })
-                .collect();
-            let meta = SegmentMeta::new(LayerId(book as u32), *peril, region, lob);
-            store
-                .ingest(&YearLossTable::new(LayerId(book as u32), outcomes), meta)
-                .expect("ingest");
-        }
-    }
-    store
 }
 
 /// Splits the base store's segments contiguously into `shards` files and
@@ -156,7 +118,7 @@ fn fused_batch(catalog: &StoreCatalog, queries: &[Query]) -> Vec<QueryResult> {
 }
 
 fn sharded_scan(c: &mut Criterion) {
-    let base = Arc::new(build_store(trials(), 8, 2012));
+    let base = Arc::new(build_store(trials(), 8, 2012, "sharded-bench"));
     let queries = query_mix();
     let mut group = c.benchmark_group("sharded_fused_batch");
     group.sample_size(10);
@@ -171,7 +133,7 @@ fn sharded_scan(c: &mut Criterion) {
 }
 
 fn cache_cold_vs_warm(c: &mut Criterion) {
-    let base = Arc::new(build_store(trials(), 8, 2012));
+    let base = Arc::new(build_store(trials(), 8, 2012, "sharded-bench"));
     let queries = query_mix();
     let trials = base.num_trials();
     let mut group = c.benchmark_group("catalog_result_cache");
@@ -239,7 +201,7 @@ fn cache_cold_vs_warm(c: &mut Criterion) {
 /// count answers the mix bit-identically to the in-memory store, and a
 /// warm cache answers without scanning.
 fn sharded_equivalence(_c: &mut Criterion) {
-    let base = Arc::new(build_store(trials(), 8, 2012));
+    let base = Arc::new(build_store(trials(), 8, 2012, "sharded-bench"));
     let queries = query_mix();
     let expected = QuerySession::new(&*base).run(&queries).expect("reference");
 

@@ -30,50 +30,13 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
-use catrisk_eventgen::peril::{Peril, Region};
-use catrisk_finterms::layer::LayerId;
+use catrisk_bench::workload::build_store;
+use catrisk_eventgen::peril::Peril;
 use catrisk_riskquery::prelude::*;
 use catrisk_riskstore::{RegionBacking, StoreReader, StoreWriter};
-use catrisk_simkit::rng::RngFactory;
 
 const TRIALS: usize = 20_000;
 const BOOKS: usize = 12;
-
-/// The same production-shaped store the query-engine bench uses: every
-/// active (peril, region) cell of several books becomes a segment.
-fn build_store(trials: usize, books: usize, seed: u64) -> ResultStore {
-    let factory = RngFactory::new(seed).derive("store-bench");
-    let mut store = ResultStore::new(trials);
-    let mut segment = 0u64;
-    for book in 0..books {
-        let region = Region::ALL[book % Region::ALL.len()];
-        let lob = LineOfBusiness::ALL[book % LineOfBusiness::ALL.len()];
-        for peril in region.active_perils() {
-            let mut rng = factory.stream(segment);
-            segment += 1;
-            let outcomes: Vec<TrialOutcome> = (0..trials)
-                .map(|_| {
-                    let year = if rng.uniform() < 0.25 {
-                        rng.uniform() * 5.0e6
-                    } else {
-                        0.0
-                    };
-                    TrialOutcome {
-                        year_loss: year,
-                        max_occurrence_loss: year * rng.uniform(),
-                        nonzero_events: u32::from(year > 0.0),
-                    }
-                })
-                .collect();
-            let meta = SegmentMeta::new(LayerId(book as u32), *peril, region, lob);
-            store
-                .ingest(&YearLossTable::new(LayerId(book as u32), outcomes), meta)
-                .expect("ingest");
-        }
-    }
-    store
-}
 
 /// Writes every segment of `store` into a fresh store file.
 fn write_store(store: &ResultStore, path: &std::path::Path) {
@@ -107,7 +70,7 @@ fn serving_query() -> Query {
 }
 
 fn store_query_paths(c: &mut Criterion) {
-    let store = build_store(TRIALS, BOOKS, 2012);
+    let store = build_store(TRIALS, BOOKS, 2012, "store-bench");
     let path = bench_path("paths");
     write_store(&store, &path);
     let query = serving_query();
@@ -133,7 +96,7 @@ fn store_query_paths(c: &mut Criterion) {
 /// faults during verification but never copies the columns; `Loaded`
 /// reads them into a private heap region.
 fn backing_comparison(c: &mut Criterion) {
-    let store = build_store(TRIALS, BOOKS, 2012);
+    let store = build_store(TRIALS, BOOKS, 2012, "store-bench");
     let path = bench_path("backing");
     write_store(&store, &path);
     let query = serving_query();
@@ -163,7 +126,7 @@ fn backing_comparison(c: &mut Criterion) {
 /// pages across a replica fleet); loaded pinned bytes are per-process
 /// heap.
 fn backing_summary(_c: &mut Criterion) {
-    let store = build_store(TRIALS, BOOKS, 2012);
+    let store = build_store(TRIALS, BOOKS, 2012, "store-bench");
     let path = bench_path("backing-summary");
     write_store(&store, &path);
     let query = serving_query();
@@ -210,7 +173,7 @@ fn backing_summary(_c: &mut Criterion) {
 /// Prints the acceptance numbers: cold-open and warm query latency against
 /// the in-memory baseline, after asserting all three paths agree bitwise.
 fn cold_open_summary(_c: &mut Criterion) {
-    let store = build_store(TRIALS, BOOKS, 2012);
+    let store = build_store(TRIALS, BOOKS, 2012, "store-bench");
     let path = bench_path("summary");
     write_store(&store, &path);
     let query = serving_query();

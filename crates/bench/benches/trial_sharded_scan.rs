@@ -18,13 +18,12 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
+use catrisk_bench::workload::build_store;
 use catrisk_eventgen::peril::Region;
 use catrisk_finterms::layer::LayerId;
 use catrisk_riskquery::prelude::*;
 use catrisk_riskserve::{Server, ServerConfig, ShardAxis, SourceProvider, StoreCatalog};
 use catrisk_riskstore::{StoreOptions, StoreWriter};
-use catrisk_simkit::rng::RngFactory;
 
 fn quick() -> bool {
     std::env::var("CATRISK_BENCH_QUICK").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
@@ -36,41 +35,6 @@ fn trials() -> usize {
     } else {
         20_000
     }
-}
-
-/// A CI-sized production-shaped store (same construction as the
-/// segment-axis sharding bench).
-fn build_store(trials: usize, books: usize, seed: u64) -> ResultStore {
-    let factory = RngFactory::new(seed).derive("trial-sharded-bench");
-    let mut store = ResultStore::new(trials);
-    let mut segment = 0u64;
-    for book in 0..books {
-        let region = Region::ALL[book % Region::ALL.len()];
-        let lob = LineOfBusiness::ALL[book % LineOfBusiness::ALL.len()];
-        for peril in region.active_perils() {
-            let mut rng = factory.stream(segment);
-            segment += 1;
-            let outcomes: Vec<TrialOutcome> = (0..trials)
-                .map(|_| {
-                    let year = if rng.uniform() < 0.25 {
-                        rng.uniform() * 5.0e6
-                    } else {
-                        0.0
-                    };
-                    TrialOutcome {
-                        year_loss: year,
-                        max_occurrence_loss: year * rng.uniform(),
-                        nonzero_events: u32::from(year > 0.0),
-                    }
-                })
-                .collect();
-            let meta = SegmentMeta::new(LayerId(book as u32), *peril, region, lob);
-            store
-                .ingest(&YearLossTable::new(LayerId(book as u32), outcomes), meta)
-                .expect("ingest");
-        }
-    }
-    store
 }
 
 /// Cuts the base store's trial axis into `windows` equal shard files
@@ -189,7 +153,7 @@ fn drive(server: &Server<StoreCatalog>, queries: &[Query]) {
 }
 
 fn trial_sharded_scan(c: &mut Criterion) {
-    let base = Arc::new(build_store(trials(), 8, 2012));
+    let base = Arc::new(build_store(trials(), 8, 2012, "trial-sharded-bench"));
     let queries = query_mix();
     let mut group = c.benchmark_group("trial_sharded_fused_batch");
     group.sample_size(10);
@@ -204,7 +168,7 @@ fn trial_sharded_scan(c: &mut Criterion) {
 }
 
 fn partial_cache_cold_vs_warm(c: &mut Criterion) {
-    let base = Arc::new(build_store(trials(), 8, 2012));
+    let base = Arc::new(build_store(trials(), 8, 2012, "trial-sharded-bench"));
     let queries = query_mix();
     let trials = base.num_trials();
     let mut group = c.benchmark_group("trial_partial_cache");
@@ -300,7 +264,7 @@ fn partial_cache_cold_vs_warm(c: &mut Criterion) {
 /// count answers the mix bit-identically to the in-memory store, and a
 /// single-shard refresh re-serves the untouched windows' partials.
 fn trial_equivalence(_c: &mut Criterion) {
-    let base = Arc::new(build_store(trials(), 8, 2012));
+    let base = Arc::new(build_store(trials(), 8, 2012, "trial-sharded-bench"));
     let queries = query_mix();
     let expected = QuerySession::new(&*base).run(&queries).expect("reference");
 

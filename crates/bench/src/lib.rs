@@ -24,17 +24,31 @@
 //! | lookup-structure ablation | `ablation_lookup` | `figures ablation-lookup` |
 //! | real-time pricing ablation | `ablation_realtime` | `figures ablation-realtime` |
 //!
-//! Beyond the paper's figures, `query_engine` measures the ad-hoc query
-//! engine, `store_cold_open` the persistent store, and `serve_throughput`
-//! the micro-batched serving front-end against a scan-per-request
-//! baseline.  Two environment variables support CI smoke runs:
-//! `CATRISK_BENCH_SAMPLES` caps sample counts and `CATRISK_BENCH_QUICK=1`
-//! shrinks the workloads of the benches that honour it (see the criterion
-//! shim for `CATRISK_BENCH_JSON` summary output).
+//! Beyond the paper's figures, the serving stack has its own gates (each
+//! asserts bit-identity first, then its ratio):
+//!
+//! | bench target | measures / gates |
+//! |---|---|
+//! | `query_engine` | ad-hoc query engine: batched session vs naive per-query scans |
+//! | `scan_kernel` | SIMD accumulate kernels per lane width vs the scalar reference (≥1.5×) |
+//! | `store_cold_open` | persistent store: cold open, mapped vs loaded backing, first query |
+//! | `serve_throughput` | micro-batched server vs a scan-per-request baseline (≥2×, telemetry on) |
+//! | `sharded_scan` | segment-axis catalog scan vs the unsharded store |
+//! | `trial_sharded_scan` | trial-axis catalog: stitched scan, single-shard refresh rescans one window |
+//! | `fused_partials` | fused multi-query cell scans vs one scan per query (≥3×) |
+//!
+//! These are *ratios against an in-bench baseline*; absolute end-to-end
+//! and per-layer numbers live in the perf ledger (`ledger/README.md`,
+//! `BENCHMARK.json`).  The stores they scan come from
+//! [`workload::build_store`].  Two environment variables support CI smoke
+//! runs: `CATRISK_BENCH_SAMPLES` caps sample counts and
+//! `CATRISK_BENCH_QUICK=1` shrinks the workloads of the benches that
+//! honour it (see the criterion shim for `CATRISK_BENCH_JSON` summary
+//! output).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod workload;
 
-pub use workload::{build_input, WorkloadSpec};
+pub use workload::{build_input, build_store, WorkloadSpec};

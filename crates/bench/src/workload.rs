@@ -1,9 +1,13 @@
 //! Synthetic workload construction with exactly controlled shape.
 
 use catrisk_engine::input::{AnalysisInput, AnalysisInputBuilder};
+use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
+use catrisk_eventgen::peril::Region;
 use catrisk_eventgen::yet::{EventOccurrence, YetBuilder};
+use catrisk_finterms::layer::LayerId;
 use catrisk_finterms::terms::{FinancialTerms, LayerTerms};
 use catrisk_lookup::LookupKind;
+use catrisk_riskquery::{LineOfBusiness, ResultStore, SegmentMeta};
 use catrisk_simkit::distributions::{Distribution, LogNormal, Poisson};
 use catrisk_simkit::rng::RngFactory;
 
@@ -200,6 +204,44 @@ pub fn build_input(spec: &WorkloadSpec) -> AnalysisInput {
     builder
         .build()
         .expect("workload construction is internally consistent")
+}
+
+/// A production-shaped in-memory result store for the query, store and
+/// serving benches: `books` books, each one `(region, line of business)`
+/// with a layer per book and one segment per peril active in the region,
+/// ~25 % of trials carrying a loss.  `stream` names the RNG stream, so
+/// each bench keeps the exact store it has always measured.
+pub fn build_store(trials: usize, books: usize, seed: u64, stream: &str) -> ResultStore {
+    let factory = RngFactory::new(seed).derive(stream);
+    let mut store = ResultStore::new(trials);
+    let mut segment = 0u64;
+    for book in 0..books {
+        let region = Region::ALL[book % Region::ALL.len()];
+        let lob = LineOfBusiness::ALL[book % LineOfBusiness::ALL.len()];
+        for peril in region.active_perils() {
+            let mut rng = factory.stream(segment);
+            segment += 1;
+            let outcomes: Vec<TrialOutcome> = (0..trials)
+                .map(|_| {
+                    let year = if rng.uniform() < 0.25 {
+                        rng.uniform() * 5.0e6
+                    } else {
+                        0.0
+                    };
+                    TrialOutcome {
+                        year_loss: year,
+                        max_occurrence_loss: year * rng.uniform(),
+                        nonzero_events: u32::from(year > 0.0),
+                    }
+                })
+                .collect();
+            let meta = SegmentMeta::new(LayerId(book as u32), *peril, region, lob);
+            store
+                .ingest(&YearLossTable::new(LayerId(book as u32), outcomes), meta)
+                .expect("ingest");
+        }
+    }
+    store
 }
 
 #[cfg(test)]

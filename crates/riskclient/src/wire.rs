@@ -56,21 +56,24 @@ pub struct StatsSnapshot {
     /// Post-v1 field, defaults to 0.
     #[serde(default)]
     pub cache_misses: u64,
-    /// Per-shard partial aggregates reused from the partial cache on a
-    /// trial-sharded catalog: each hit is one shard's trial window that
-    /// did **not** need rescanning for a query that missed the result
-    /// cache.  Post-v1 field, defaults to 0.
+    /// Cell partials reused from the cell cache: each hit is one
+    /// `(scan spec, cell)` — one shard's trial window or segment range —
+    /// that did **not** need rescanning for a query that missed the
+    /// result cache.  Only plans cut into more than one cell (multi-shard
+    /// catalogs) can hit.  Post-v1 field, defaults to 0.
     #[serde(default)]
     pub partial_hits: u64,
-    /// Per-shard trial windows that had to be rescanned (then populated
-    /// the partial cache).  Post-v1 field, defaults to 0.
+    /// `(scan spec, cell)` pairs that had to be scanned.  Counted on
+    /// every topology: a flat store's plans are single cells that are
+    /// never cell-cached, so there it equals the missing scan specs.
+    /// Post-v1 field, defaults to 0.
     #[serde(default)]
     pub partial_misses: u64,
-    /// Fused partial scans actually issued: the batch planner groups all
-    /// cache-missing `(query, shard)` pairs by shard window and walks
-    /// each window **once** for the whole group, so this counts shard
-    /// walks, not pairs — `fused_partial_scans <= partial_misses`, with
-    /// equality only when no two missing queries shared a window.  The
+    /// Fused cell scans actually issued: the grid executor groups all
+    /// missing `(scan spec, cell)` pairs of a batch by what they scan
+    /// and walks each group's window **once**, so this counts walks, not
+    /// pairs — `fused_partial_scans <= partial_misses`, with equality
+    /// only when no two missing specs shared a cell.  The
     /// `stage_scan_shard_micros` histogram records exactly one sample per
     /// fused scan, so its count equals this counter.  Post-v1 field,
     /// defaults to 0.
@@ -117,8 +120,9 @@ impl StatsSnapshot {
         }
     }
 
-    /// Fraction of per-shard trial windows served from cached partials
-    /// (trial-sharded catalogs only; 0 when the partial path never ran).
+    /// Fraction of probed `(scan spec, cell)` pairs served from cached
+    /// cell partials (0 on a flat store, whose plans are never
+    /// cell-cached).
     pub fn partial_hit_rate(&self) -> f64 {
         let total = self.partial_hits + self.partial_misses;
         if total == 0 {

@@ -22,7 +22,7 @@ use catrisk_simkit::stats::{
 use crate::kernel;
 use crate::plan::QueryPlan;
 use crate::query::{Aggregate, Basis, LossRange, Query};
-use crate::result::{AggValue, QueryResult, ResultRow};
+use crate::result::{AggValue, DimValue, QueryResult, ResultRow};
 use crate::store::SegmentSource;
 use crate::Result;
 
@@ -118,24 +118,6 @@ impl PartialAggregate {
             kernel::retain_fused(year, maxocc, range);
         }
     }
-
-    /// Merges a partial covering the *same* trial window (element-wise sum
-    /// and max) — used when sharding by segments instead of trials; order
-    /// of combination then affects the last ulp, which is why the scan
-    /// shards by trials instead.
-    pub fn combine_overlapping(mut self, other: &PartialAggregate) -> Self {
-        for (acc, block) in self.year.iter_mut().zip(&other.year) {
-            for (a, v) in acc.iter_mut().zip(block) {
-                *a += v;
-            }
-        }
-        for (acc, block) in self.maxocc.iter_mut().zip(&other.maxocc) {
-            for (a, v) in acc.iter_mut().zip(block) {
-                *a = a.max(*v);
-            }
-        }
-        self
-    }
 }
 
 /// Splits `[start, end)` into at most `parts` contiguous non-empty
@@ -190,20 +172,14 @@ pub(crate) fn trial_blocks(start: usize, end: usize, parts: usize) -> Vec<(usize
     blocks
 }
 
-/// Runs the planned scan: per-trial-block partial aggregation in parallel,
-/// merged by exact concatenation.  A loss-range predicate in the plan is
+/// The reference scan of `plan` over the sub-window `[start, end)` of its
+/// trial window: per-trial-block partial aggregation in parallel, merged
+/// by exact concatenation.  A loss-range predicate in the plan is
 /// evaluated per block, after all segments have been accumulated into the
-/// block's group totals and while those totals are still cache-hot.
-pub(crate) fn scan<S: SegmentSource + ?Sized>(store: &S, plan: &QueryPlan) -> PartialAggregate {
-    scan_window(store, plan, plan.trial_start, plan.trial_end)
-}
-
-/// [`scan`] restricted to the sub-window `[start, end)` of the plan's
-/// trial window — the per-shard half of trial-axis sharding: a sharded
-/// serving layer scans each shard's window separately (caching the
-/// partials) and stitches them with the same adjacent-window monoid the
-/// blocks below merge by, so the stitched result is bit-identical to one
-/// scan of the whole window.
+/// block's group totals and while those totals are still cache-hot.  Any
+/// split of the window into sub-windows stitches back with the same
+/// adjacent-window monoid the blocks below merge by, so the stitched
+/// result is bit-identical to one scan of the whole window.
 pub(crate) fn scan_window<S: SegmentSource + ?Sized>(
     store: &S,
     plan: &QueryPlan,
@@ -242,9 +218,10 @@ pub(crate) fn scan_window<S: SegmentSource + ?Sized>(
 /// One fused pass over the trial window `[start, end)` serving every plan
 /// in `plans`: within each trial block, each segment's loss slices are
 /// read once and accumulated into every plan that selected the segment —
-/// the shared scan core behind both [`QuerySession`](crate::QuerySession)
-/// batches and the fused trial-partial path
-/// ([`scan_trial_partials_fused`](crate::partial::scan_trial_partials_fused)).
+/// the one fused block loop, reached only through
+/// [`scan_trial_partials_fused`](crate::partial::scan_trial_partials_fused)
+/// by both [`QuerySession`](crate::QuerySession) batches and the serving
+/// layer's grid executor.
 ///
 /// Returns one [`PartialAggregate`] per plan, in input order, each
 /// bit-identical to [`scan_window`] of that plan alone: the fusion only
@@ -323,13 +300,13 @@ pub(crate) fn fused_scan_plans<S: SegmentSource + ?Sized>(
 /// Sorted copies of a group's loss vectors, computed lazily — VaR, TVaR,
 /// PML and EP curves all need order statistics over the same data.
 #[derive(Debug, Default)]
-pub(crate) struct SortedCache {
+struct SortedCache {
     year: Option<Vec<f64>>,
     maxocc: Option<Vec<f64>>,
 }
 
 impl SortedCache {
-    pub(crate) fn sorted<'a>(
+    fn sorted<'a>(
         &'a mut self,
         basis: Basis,
         partial: &PartialAggregate,
@@ -357,7 +334,7 @@ impl SortedCache {
 /// `ExceedanceCurve` for the order statistics — so a query result is
 /// bit-identical to brute-force aggregation over the raw Year Loss Tables
 /// by construction.
-pub(crate) fn finalize_group(
+fn finalize_group(
     aggregates: &[Aggregate],
     partial: &PartialAggregate,
     group: usize,
@@ -408,52 +385,41 @@ pub(crate) fn finalize_group(
         .collect()
 }
 
-/// Per-spec state reusable across the queries sharing one scan: group
-/// segment counts, canonical row order, and the lazily sorted loss copies.
-pub(crate) struct SpecState {
-    segment_counts: Vec<usize>,
-    row_order: Vec<usize>,
-    caches: Vec<SortedCache>,
-}
-
-impl SpecState {
-    pub(crate) fn new(plan: &QueryPlan) -> Self {
-        let mut segment_counts = vec![0usize; plan.num_groups()];
-        for &group in &plan.groups {
-            segment_counts[group] += 1;
-        }
-        Self {
-            segment_counts,
-            row_order: plan.sorted_group_order(),
-            caches: (0..plan.num_groups())
-                .map(|_| SortedCache::default())
+/// The one finalise tail: the results of every query sharing one scan
+/// spec, from that spec's combined loss vectors.
+///
+/// Rows come out in canonical order (ascending by decoded key), and the
+/// lazily sorted loss copies behind VaR / TVaR / PML / EP curves live in
+/// one `SortedCache` per group shared by *all* of `queries` — "mean,
+/// VaR, TVaR and an EP curve of the same slice" sorts each group once.
+/// `keys[g]` / `segment_counts[g]` describe group `g` of `aggregate`;
+/// `trials` is the scanned window's length (before any loss range).
+pub fn finalize<'q>(
+    queries: impl IntoIterator<Item = &'q Query>,
+    keys: &[Vec<DimValue>],
+    segment_counts: &[usize],
+    trials: usize,
+    aggregate: &PartialAggregate,
+) -> Vec<QueryResult> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&a, &b| DimValue::compare_keys(&keys[a], &keys[b]));
+    let mut caches: Vec<SortedCache> = keys.iter().map(|_| SortedCache::default()).collect();
+    queries
+        .into_iter()
+        .map(|query| QueryResult {
+            group_by: query.group_by.clone(),
+            aggregates: query.aggregates.clone(),
+            trials,
+            rows: order
+                .iter()
+                .map(|&group| ResultRow {
+                    key: keys[group].clone(),
+                    segments: segment_counts[group],
+                    values: finalize_group(&query.aggregates, aggregate, group, &mut caches[group]),
+                })
                 .collect(),
-        }
-    }
-}
-
-/// Assembles the final result: rows in canonical key order.
-pub(crate) fn assemble(
-    query: &Query,
-    plan: &QueryPlan,
-    partial: &PartialAggregate,
-    state: &mut SpecState,
-) -> QueryResult {
-    let rows: Vec<ResultRow> = state
-        .row_order
-        .iter()
-        .map(|&group| ResultRow {
-            key: plan.keys[group].clone(),
-            segments: state.segment_counts[group],
-            values: finalize_group(&query.aggregates, partial, group, &mut state.caches[group]),
         })
-        .collect();
-    QueryResult {
-        group_by: query.group_by.clone(),
-        aggregates: query.aggregates.clone(),
-        trials: plan.num_trials(),
-        rows,
-    }
+        .collect()
 }
 
 /// Executes one query against any [`SegmentSource`] — the in-memory
@@ -462,11 +428,20 @@ pub(crate) fn assemble(
 ///
 /// Pipeline: plan (filter pushdown over dictionary codes) → parallel scan
 /// (per-trial-block partial aggregation, exact combine) → finalisation
-/// (metric kernels per group).
+/// (metric kernels per group).  The scan is the plain unfused
+/// `scan_window` loop on purpose: every equivalence battery compares
+/// the fused grid path against this function.
 pub fn execute<S: SegmentSource + ?Sized>(store: &S, query: &Query) -> Result<QueryResult> {
     let plan = QueryPlan::new(store, query)?;
-    let partial = scan(store, &plan);
-    Ok(assemble(query, &plan, &partial, &mut SpecState::new(&plan)))
+    let partial = scan_window(store, &plan, plan.trial_start, plan.trial_end);
+    let mut results = finalize(
+        [query],
+        &plan.keys,
+        &plan.segment_counts(),
+        plan.num_trials(),
+        &partial,
+    );
+    Ok(results.pop().expect("one result per query"))
 }
 
 #[cfg(test)]
@@ -624,7 +599,7 @@ mod tests {
             }
             partial
         };
-        let scanned = scan(&store, &plan);
+        let scanned = scan_window(&store, &plan, plan.trial_start, plan.trial_end);
         assert_eq!(
             scanned, reference,
             "parallel scan must equal the sequential scan bitwise"
@@ -722,20 +697,10 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let scanned = pool.install(|| scan(&store, &plan));
+            let scanned =
+                pool.install(|| scan_window(&store, &plan, plan.trial_start, plan.trial_end));
             assert_eq!(scanned, reference, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn combine_overlapping_is_elementwise() {
-        let mut a = PartialAggregate::identity(1, 2);
-        a.accumulate(0, &[1.0, 2.0], &[1.0, 5.0]);
-        let mut b = PartialAggregate::identity(1, 2);
-        b.accumulate(0, &[10.0, 20.0], &[3.0, 4.0]);
-        let c = a.combine_overlapping(&b);
-        assert_eq!(c.year[0], vec![11.0, 22.0]);
-        assert_eq!(c.maxocc[0], vec![3.0, 5.0]);
     }
 
     #[test]

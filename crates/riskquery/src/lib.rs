@@ -106,13 +106,12 @@ pub mod trial_sharded;
 
 pub use dict::Dictionary;
 pub use dims::{Dimension, LineOfBusiness, SegmentMeta};
-pub use exec::{execute, PartialAggregate};
+pub use exec::{execute, finalize, PartialAggregate};
 pub use kernel::SimdLevel;
 pub use parse::{parse_group_by, parse_select, parse_where};
 pub use partial::{
-    combine_segment_partials, combine_trial_partial_refs, combine_trial_partials,
-    plan_is_shard_aligned, restrict_plan_to_segments, scan_trial_partial,
-    scan_trial_partials_fused, TrialPartial,
+    combine, combine_trial_partial_refs, group_by_key, plan_cells, scan_trial_partial,
+    scan_trial_partials_fused, split_plan_by_segments, Cell, Grid, TrialPartial,
 };
 pub use plan::{QueryPlan, ScanAttribution};
 pub use query::{Aggregate, Basis, Filter, LossRange, Query, QueryBuilder};

@@ -1,59 +1,51 @@
-//! Reusable per-shard partial aggregates: the unit a trial-sharded
-//! serving layer caches.
+//! The partial grid: cells, their cacheable partial aggregates, and the
+//! exact combine that turns them back into one scan's worth of data.
 //!
-//! Trial-axis sharding splits one query's scan into per-shard windows
-//! whose [`PartialAggregate`]s stitch back together with the exact
-//! adjacent-window monoid.  That makes the *per-shard partial* the
-//! natural unit of cache reuse — QuPARA's multi-GPU follow-up makes the
-//! same observation for its per-partition aggregates: when one shard
-//! refreshes, only its window needs rescanning, and every other shard's
-//! cached partial re-combines unchanged.  This module packages a partial
-//! with just enough self-description ([`TrialPartial`]) to survive being
-//! cached across batches and re-combined later:
+//! Every snapshot a query runs over is an S×T [`Grid`] of (segment-range
+//! × trial-window) **cells** — a flat store is 1×1, a segment-axis union
+//! S×1, a trial-axis union 1×T — and every batch of queries, served or
+//! in-process, takes the same path over it:
 //!
-//! * group **keys** (decoded dimension values, not plan-local group
-//!   indices — indices are an artifact of one plan's first-appearance
-//!   order and may differ between the plan that produced a cached
-//!   partial and the plan consuming it);
-//! * per-group **segment counts** (reported in result rows);
-//! * the global **trial window** the partial covers.
+//! 1. [`group_by_key`] on [`Query::scan_spec`](crate::Query::scan_spec):
+//!    queries sharing a filter and grouping share one plan, one set of
+//!    cell partials and one finalisation;
+//! 2. [`plan_cells`]: the plan's [`Cell`]s (the alignment rule decides
+//!    whether the segment axis may be cut at all);
+//! 3. [`scan_trial_partials_fused`]: one walk of a (cell, window) emits a
+//!    [`TrialPartial`] for every plan that needs it;
+//! 4. [`combine`]: concatenation along trials, element-wise sum/max along
+//!    segments — both exact;
+//! 5. [`finalize`](crate::exec::finalize): metric kernels, once per spec.
 //!
-//! [`combine_trial_partials`] re-aligns parts by key, concatenates their
-//! windows in order, and finalises through the same metric kernels
-//! [`execute`](crate::exec::execute) uses — so a result assembled from
-//! cached partials is bit-identical to a fresh scan of the whole window.
-//!
-//! Two extensions make the partial the universal unit of reuse:
-//!
-//! * **Fusion** — [`scan_trial_partials_fused`] emits one partial *per
-//!   query* from a single walk of a shard window, so a batch of N
-//!   cache-missing queries costs one scan per window instead of N.
-//! * **The segment axis** — [`restrict_plan_to_segments`] /
-//!   [`combine_segment_partials`] cache per-*segment-shard* partials
-//!   (pre-loss-range, keyed by decoded group keys) and recombine them by
-//!   element-wise sum/max in shard order.  That combine is only bitwise
-//!   exact when [`plan_is_shard_aligned`] holds — every group's segments
-//!   in one shard, so the zero vector's monoid identity (±0.0-normalised
-//!   by the scan kernel) is the only other contribution per group.
+//! The per-cell partial is the natural unit of cache reuse — QuPARA's
+//! multi-GPU follow-up makes the same observation for its per-partition
+//! aggregates: when one shard refreshes, only its cells need rescanning,
+//! and every other cell's cached partial re-combines unchanged.  A
+//! [`TrialPartial`] therefore carries just enough self-description to
+//! survive being cached across batches and re-combined later: decoded
+//! group **keys** (not plan-local group indices — indices are an artifact
+//! of one plan's first-appearance order), per-group **segment counts**,
+//! and the global **trial window** it covers.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use crate::exec::{self, PartialAggregate, SortedCache};
+use crate::exec::{self, PartialAggregate};
 use crate::plan::QueryPlan;
 use crate::query::Query;
-use crate::result::{DimValue, QueryResult, ResultRow};
+use crate::result::{DimValue, QueryResult};
 use crate::store::SegmentSource;
 use crate::{QueryError, Result};
 
-/// One shard's contribution to a query: the partial aggregate of the
-/// shard's trial window, keyed by decoded group keys so it can be cached
-/// and re-combined across batches.
+/// One cell's contribution to a scan spec: the partial aggregate of the
+/// cell's segments over the cell's trial window, keyed by decoded group
+/// keys so it can be cached and re-combined across batches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialPartial {
     /// Decoded group keys, in the producing plan's group order.
     pub keys: Vec<Vec<DimValue>>,
-    /// Segments contributing to each group (same across shards: every
-    /// trial shard holds every segment).
+    /// Segments contributing to each group.
     pub segment_counts: Vec<usize>,
     /// The global trial window `[start, end)` this partial covers.
     pub window: (usize, usize),
@@ -62,9 +54,13 @@ pub struct TrialPartial {
 }
 
 impl TrialPartial {
-    /// Number of trials this partial covers.
-    pub fn num_trials(&self) -> usize {
-        self.window.1 - self.window.0
+    fn new(plan: &QueryPlan, window: (usize, usize), aggregate: PartialAggregate) -> Self {
+        Self {
+            keys: plan.keys.clone(),
+            segment_counts: plan.segment_counts(),
+            window,
+            aggregate,
+        }
     }
 
     /// Approximate heap bytes of the partial's loss vectors (cache
@@ -79,350 +75,322 @@ impl TrialPartial {
     }
 }
 
-/// Scans one shard window of a planned query: the plan's scan restricted
-/// to the global trial window `[start, end)`, packaged with the plan's
-/// group keys and segment counts.
+/// Scans one window of one planned query through the **reference**
+/// (unfused) loop [`execute`](crate::exec::execute) uses — what the
+/// equivalence batteries compare [`scan_trial_partials_fused`] against,
+/// and what the serving layer's self-heal rescans with.
 ///
-/// The window must lie inside the plan's trial window; a caller shards
-/// the plan window by clipping it against each shard's window (an empty
-/// clip yields a valid zero-trial partial, so shards outside the query's
-/// trial filter still combine exactly).
+/// The window must lie inside the plan's trial window; an empty window
+/// yields a valid zero-trial partial, so cells outside the query's trial
+/// filter still combine exactly.
 pub fn scan_trial_partial<S: SegmentSource + ?Sized>(
     store: &S,
     plan: &QueryPlan,
     start: usize,
     end: usize,
 ) -> TrialPartial {
-    let mut segment_counts = vec![0usize; plan.num_groups()];
-    for &group in &plan.groups {
-        segment_counts[group] += 1;
-    }
-    TrialPartial {
-        keys: plan.keys.clone(),
-        segment_counts,
-        window: (start, end),
-        aggregate: exec::scan_window(store, plan, start, end),
-    }
+    let aggregate = exec::scan_window(store, plan, start, end);
+    TrialPartial::new(plan, (start, end), aggregate)
 }
 
-/// [`scan_trial_partial`] for a whole batch: one fused pass over the
-/// shard window `[start, end)` emits a [`TrialPartial`] per plan.
+/// One fused pass over the trial window `[start, end)` emitting a
+/// [`TrialPartial`] per plan: each segment's loss slices are read once
+/// per trial block and routed to every plan, so a batch costs one walk
+/// of the window instead of one per plan.  Each returned partial is
+/// bit-identical to [`scan_trial_partial`] of its plan alone.
 ///
-/// Plans that resolve to the same scan shape (same surviving segments,
-/// group assignment, decoded keys *and* loss range — two group-bys can
-/// coincide on segments and group indices yet differ in keys) share one
-/// set of accumulated vectors, and the remaining distinct shapes ride a
-/// single [`exec::fused_scan_plans`] pass: each segment's loss slices are
-/// read once per trial block and routed to every plan, so a 50-query
-/// batch costs one walk of the window instead of 50.  Each returned
-/// partial is bit-identical to [`scan_trial_partial`] of its plan alone.
-///
-/// Every plan's trial window must contain `[start, end)`; an empty
-/// window yields valid zero-trial partials, exactly like
-/// [`scan_trial_partial`].
+/// Plans are scanned as given — dedup is the caller's job, by scan spec
+/// ([`group_by_key`]), *before* planning.  Every plan's trial window must
+/// contain `[start, end)`; an empty window yields valid zero-trial
+/// partials.
 pub fn scan_trial_partials_fused<S: SegmentSource + ?Sized>(
     store: &S,
     plans: &[&QueryPlan],
     start: usize,
     end: usize,
 ) -> Vec<TrialPartial> {
-    // Dedup identical scan shapes (linear probe: batches are small and
-    // the comparison is cheap next to a scan).
-    let mut uniques: Vec<&QueryPlan> = Vec::new();
-    let mut member_of: Vec<usize> = Vec::with_capacity(plans.len());
-    for &plan in plans {
-        let found = uniques.iter().position(|&unique| {
-            std::ptr::eq(unique, plan)
-                || (unique.loss == plan.loss
-                    && unique.segments == plan.segments
-                    && unique.groups == plan.groups
-                    && unique.keys == plan.keys)
-        });
-        match found {
-            Some(ui) => member_of.push(ui),
-            None => {
-                member_of.push(uniques.len());
-                uniques.push(plan);
-            }
-        }
-    }
-
-    let aggregates = exec::fused_scan_plans(store, &uniques, start, end);
-    let mut unique_parts: Vec<Option<TrialPartial>> = uniques
+    plans
         .iter()
-        .zip(aggregates)
-        .map(|(plan, aggregate)| {
-            let mut segment_counts = vec![0usize; plan.num_groups()];
-            for &group in &plan.groups {
-                segment_counts[group] += 1;
-            }
-            Some(TrialPartial {
-                keys: plan.keys.clone(),
-                segment_counts,
-                window: (start, end),
-                aggregate,
-            })
-        })
-        .collect();
-
-    // Fan the unique partials back out: the last member of each shape
-    // takes ownership, earlier duplicates clone.
-    let mut remaining = vec![0usize; uniques.len()];
-    for &ui in &member_of {
-        remaining[ui] += 1;
-    }
-    member_of
-        .into_iter()
-        .map(|ui| {
-            remaining[ui] -= 1;
-            if remaining[ui] == 0 {
-                unique_parts[ui].take().expect("one take per unique shape")
-            } else {
-                unique_parts[ui].clone().expect("not yet taken")
-            }
-        })
+        .zip(exec::fused_scan_plans(store, plans, start, end))
+        .map(|(plan, aggregate)| TrialPartial::new(plan, (start, end), aggregate))
         .collect()
 }
 
-/// Stitches per-shard partials (in window order) into the final
-/// [`QueryResult`], bit-identical to scanning the whole window at once.
-///
-/// Parts must agree on their group keys and segment counts (trial shards
-/// present identical segment layouts, so any disagreement means the
-/// parts describe different snapshots — the caller falls back to a fresh
-/// scan) and their windows must be adjacent: each part starts where the
-/// previous ended.
-pub fn combine_trial_partials(query: &Query, parts: Vec<TrialPartial>) -> Result<QueryResult> {
-    let refs: Vec<&TrialPartial> = parts.iter().collect();
-    combine_trial_partial_refs(query, &refs)
+/// Groups `items` by key, groups and members both in first-appearance
+/// order — the one dedup rule of the grid path.  Keyed on
+/// [`Query::scan_spec`](crate::Query::scan_spec) (`Eq + Hash` with a
+/// total, NaN-free float treatment) it shares a scan between queries;
+/// keyed on a cell it fuses every spec missing that cell into one walk.
+/// Hashed, so linear in the batch size.
+pub fn group_by_key<K: Copy + Eq + Hash, T>(
+    items: impl IntoIterator<Item = (K, T)>,
+) -> Vec<(K, Vec<T>)> {
+    let mut groups: Vec<(K, Vec<T>)> = Vec::new();
+    let mut index: HashMap<K, usize> = HashMap::new();
+    for (key, item) in items {
+        let slot = *index.entry(key).or_insert_with(|| {
+            groups.push((key, Vec::new()));
+            groups.len() - 1
+        });
+        groups[slot].1.push(item);
+    }
+    groups
 }
 
-/// [`combine_trial_partials`] over borrowed parts — the serving layer
-/// stitches cache-shared (`Arc`ed) partials without copying them first.
-/// Concatenating by `extend_from_slice` is bit-identical to the
-/// by-value `combine_adjacent` append: both are pure concatenation.
-pub fn combine_trial_partial_refs(
-    query: &Query,
-    parts: &[&TrialPartial],
-) -> Result<QueryResult> {
-    let Some(first) = parts.first() else {
+/// How a snapshot is cut into cells.  An empty slice means "not cut
+/// along this axis", so `Grid::default()` is the 1×1 grid of a flat
+/// store.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Grid<'a> {
+    /// The global segment range `[lo, hi)` each shard of a segment-axis
+    /// union contributes, in shard order; the ranges partition the
+    /// union's segments.
+    pub segment_ranges: &'a [(usize, usize)],
+    /// The global trial window `[start, end)` each shard of a trial-axis
+    /// union covers, in shard order; the windows partition the union's
+    /// trials.
+    pub trial_windows: &'a [(usize, usize)],
+}
+
+/// One cell of a plan's grid: what to scan, and where its partial lives.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The cell's index in the grid, trial-window major
+    /// (`window * segment_ranges + range`) — the slot a cell cache files
+    /// the partial under and the index of the generation stamp that
+    /// retires it.
+    pub slot: usize,
+    /// The global segment range `[lo, hi)` the cell covers.
+    pub segments: (usize, usize),
+    /// The cell's trial window clipped to the plan's (clamping is
+    /// monotone, so clipped windows stay adjacent and a cell outside the
+    /// plan's trial filter is an exact zero-trial partial).
+    pub window: (usize, usize),
+    /// The plan restricted to `segments`, loss range stripped (see
+    /// [`split_plan_by_segments`]) — `None` when the cell spans every
+    /// segment, where the plan itself is scanned, loss range included.
+    pub plan: Option<QueryPlan>,
+}
+
+/// Enumerates the cells `plan` touches on `grid` over a source of
+/// `num_segments` segments, in combine order (trial-window major), plus
+/// the number of segment cells per trial window [`combine`] needs.
+///
+/// The trial axis is always cut: partials of adjacent windows
+/// concatenate exactly.  The segment axis is cut only for **aligned**
+/// plans ([`split_plan_by_segments`]); a plan that is not aligned is
+/// **one cell spanning the whole union**, whatever the grid.  A plan
+/// with a single cell has nothing worth caching per cell: its key would
+/// carry exactly the information a whole-result cache key does.
+pub fn plan_cells(plan: &QueryPlan, grid: Grid<'_>, num_segments: usize) -> (Vec<Cell>, usize) {
+    let whole = (plan.trial_start, plan.trial_end);
+    let spanning = |slot: usize, window: (usize, usize)| Cell {
+        slot,
+        segments: (0, num_segments),
+        window,
+        plan: None,
+    };
+    let windows: Vec<(usize, usize)> = match grid.trial_windows {
+        [] => vec![whole],
+        cut => cut
+            .iter()
+            .map(|&(start, end)| (start.clamp(whole.0, whole.1), end.clamp(whole.0, whole.1)))
+            .collect(),
+    };
+    if grid.segment_ranges.len() < 2 {
+        let cells = windows.into_iter().enumerate();
+        return (
+            cells.map(|(slot, window)| spanning(slot, window)).collect(),
+            1,
+        );
+    }
+    let Some(shards) = split_plan_by_segments(plan, grid.segment_ranges) else {
+        return (vec![spanning(0, whole)], 1);
+    };
+    let mut cells = Vec::with_capacity(windows.len() * shards.len());
+    for window in windows {
+        for (shard, &segments) in shards.iter().zip(grid.segment_ranges) {
+            cells.push(Cell {
+                slot: cells.len(),
+                segments,
+                window,
+                plan: Some(shard.clone()),
+            });
+        }
+    }
+    (cells, shards.len())
+}
+
+/// Splits `plan` along the segment `ranges` of a segment-axis grid: one
+/// restricted plan per range — group indices remapped range-locally (in
+/// order of first appearance, preserving global segment order), groups
+/// with no segment in the range dropped, and the loss-range predicate
+/// **stripped** ([`combine`] applies it once the ranges have been
+/// summed) — or `None` when the plan is not **aligned**: some group
+/// draws segments from more than one range (or a segment lies in none).
+///
+/// Alignment is the gate for cutting the segment axis.  Per-range
+/// partials combine by element-wise sum, and floating-point addition is
+/// not associative — a group spanning ranges would see a different
+/// accumulation bracketing than the flat union scan and could differ in
+/// the last ulp.  When every group lives in one range, exactly one range
+/// contributes a non-identity vector per group, the (normalised,
+/// `-0.0`-free) zero vector is a *bitwise* identity for `+`/`max`, and
+/// the combined result is exactly the flat scan's bits.
+pub fn split_plan_by_segments(
+    plan: &QueryPlan,
+    ranges: &[(usize, usize)],
+) -> Option<Vec<QueryPlan>> {
+    let empty = QueryPlan {
+        trial_start: plan.trial_start,
+        trial_end: plan.trial_end,
+        ..QueryPlan::default()
+    };
+    let mut shards = vec![empty; ranges.len()];
+    // owner[group] = (range, range-local group index)
+    let mut owner: Vec<Option<(usize, usize)>> = vec![None; plan.num_groups()];
+    for (&segment, &group) in plan.segments.iter().zip(&plan.groups) {
+        let range = ranges
+            .iter()
+            .position(|&(lo, hi)| lo <= segment && segment < hi)?;
+        let shard = &mut shards[range];
+        let local = match owner[group] {
+            Some((own, local)) if own == range => local,
+            Some(_) => return None,
+            None => {
+                shard.keys.push(plan.keys[group].clone());
+                owner[group] = Some((range, shard.keys.len() - 1));
+                shard.keys.len() - 1
+            }
+        };
+        shard.segments.push(segment);
+        shard.groups.push(local);
+    }
+    Some(shards)
+}
+
+/// The one combine: a plan's cell partials, in [`plan_cells`] order with
+/// `segment_cells` cells per trial window, back into the plan-wide loss
+/// vectors — bit-identical to one scan of the whole plan.
+///
+/// * **Along segments** (`segment_cells > 1`): the cells of one window
+///   are re-aligned **by key** (a range's local group order survives
+///   other ranges' refreshes; a key a range does not carry contributes
+///   the identity) and summed element-wise through the same add/max
+///   kernel the scan uses, into the `±0.0`-normalised zero vector.
+/// * **Along trials**: the windows concatenate in order; each must start
+///   where the previous ended, from the plan's window start to its end.
+/// * **The loss range** is applied at the first point a group's total is
+///   complete: inside the scan when a cell spans every segment
+///   (`segment_cells == 1` — those partials arrive already filtered),
+///   here after the element-wise sum otherwise.  Either way the filter
+///   sees the same complete per-trial totals, and compaction preserves
+///   trial order, so the bits cannot depend on where it ran.
+///
+/// A plan with a single spanning cell combines **without copying**: the
+/// result borrows the part.  Parts that do not describe `plan` (foreign
+/// keys, a gap between windows, vectors not spanning their window) are
+/// an error, never a wrong answer — a serving layer self-heals on it.
+pub fn combine<'a>(
+    plan: &QueryPlan,
+    parts: &[&'a TrialPartial],
+    segment_cells: usize,
+) -> Result<Cow<'a, PartialAggregate>> {
+    let mismatch = |what: &str| Err(QueryError::Store(format!("cell partials {what}")));
+    let groups = plan.num_groups();
+    // Only the element-wise sum re-aligns by key; the common single-cell
+    // and trial-only combines never pay for the index.
+    let mut group_of: HashMap<&Vec<DimValue>, usize> = HashMap::new();
+    if segment_cells > 1 {
+        group_of.extend(plan.keys.iter().enumerate().map(|(g, key)| (key, g)));
+    }
+    let mut windows: Vec<Cow<'a, PartialAggregate>> = Vec::new();
+    let mut at = plan.trial_start;
+    for cells in parts.chunks(segment_cells.max(1)) {
+        let window = cells[0].window;
+        if window.0 != at || cells.iter().any(|part| part.window != window) {
+            return mismatch("do not tile the plan's trial window");
+        }
+        at = window.1;
+        if segment_cells == 1 {
+            if cells[0].keys != plan.keys {
+                return mismatch("disagree on group keys; they describe different snapshots");
+            }
+            windows.push(Cow::Borrowed(&cells[0].aggregate));
+            continue;
+        }
+        let mut sum = PartialAggregate::identity(groups, window.1 - window.0);
+        for part in cells {
+            for (j, key) in part.keys.iter().enumerate() {
+                let (year, occ) = (&part.aggregate.year[j], &part.aggregate.maxocc[j]);
+                match group_of.get(key) {
+                    Some(&group)
+                        if year.len() == sum.year[group].len() && occ.len() == year.len() =>
+                    {
+                        sum.accumulate(group, year, occ)
+                    }
+                    _ => return mismatch("describe a different snapshot of their segment range"),
+                }
+            }
+        }
+        windows.push(Cow::Owned(sum));
+    }
+    if at != plan.trial_end || windows.is_empty() {
+        return mismatch("do not cover the plan's trial window");
+    }
+    let mut total = if windows.len() == 1 {
+        windows.pop().expect("one window")
+    } else {
+        let concat = |column: fn(&PartialAggregate) -> &Vec<Vec<f64>>| -> Vec<Vec<f64>> {
+            (0..groups)
+                .map(|group| {
+                    let mut merged =
+                        Vec::with_capacity(windows.iter().map(|w| column(w)[group].len()).sum());
+                    for window in &windows {
+                        merged.extend_from_slice(&column(window)[group]);
+                    }
+                    merged
+                })
+                .collect()
+        };
+        Cow::Owned(PartialAggregate {
+            year: concat(|aggregate| &aggregate.year),
+            maxocc: concat(|aggregate| &aggregate.maxocc),
+        })
+    };
+    if let (true, Some(range)) = (segment_cells > 1, plan.loss) {
+        total.to_mut().retain_by_year(range);
+    }
+    Ok(total)
+}
+
+/// Stitches the partials of adjacent trial windows (in window order)
+/// into the final [`QueryResult`], bit-identical to scanning the whole
+/// window at once — [`combine`] along trials plus
+/// [`finalize`](crate::exec::finalize) for callers that hold parts but
+/// no plan.  The parts must agree on their group keys.
+pub fn combine_trial_partial_refs(query: &Query, parts: &[&TrialPartial]) -> Result<QueryResult> {
+    let (Some(first), Some(last)) = (parts.first(), parts.last()) else {
         return Err(QueryError::Store(
             "no trial partials to combine".to_string(),
         ));
     };
-    let keys = &first.keys;
-    let segment_counts = &first.segment_counts;
-    let (window_start, mut window_end) = first.window;
-    for part in &parts[1..] {
-        if part.keys != *keys || part.segment_counts != *segment_counts {
-            return Err(QueryError::Store(
-                "trial partials disagree on group keys; they describe different snapshots"
-                    .to_string(),
-            ));
-        }
-        if part.window.0 != window_end {
-            return Err(QueryError::Store(format!(
-                "trial partial windows are not adjacent: {}..{} then {}..{}",
-                window_start, window_end, part.window.0, part.window.1
-            )));
-        }
-        window_end = part.window.1;
-    }
-
-    // Adjacent-window concatenation, group by group, without consuming
-    // (or cloning) any part.
-    let groups = keys.len();
-    let concat = |column: fn(&PartialAggregate) -> &Vec<Vec<f64>>| -> Vec<Vec<f64>> {
-        (0..groups)
-            .map(|group| {
-                let total: usize = parts
-                    .iter()
-                    .map(|part| column(&part.aggregate)[group].len())
-                    .sum();
-                let mut merged = Vec::with_capacity(total);
-                for part in parts {
-                    merged.extend_from_slice(&column(&part.aggregate)[group]);
-                }
-                merged
-            })
-            .collect()
+    // All `combine` reads of a plan: its keys, window and loss range.
+    let plan = QueryPlan {
+        trial_start: first.window.0,
+        trial_end: last.window.1,
+        keys: first.keys.clone(),
+        ..QueryPlan::default()
     };
-    let aggregate = PartialAggregate {
-        year: concat(|aggregate| &aggregate.year),
-        maxocc: concat(|aggregate| &aggregate.maxocc),
-    };
-
-    // Canonical row order, exactly as `exec::assemble` derives it from a
-    // plan: ascending by decoded key.
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by(|&a, &b| DimValue::compare_keys(&keys[a], &keys[b]));
-    let rows: Vec<ResultRow> = order
-        .into_iter()
-        .map(|group| {
-            let mut cache = SortedCache::default();
-            ResultRow {
-                key: keys[group].clone(),
-                segments: segment_counts[group],
-                values: exec::finalize_group(&query.aggregates, &aggregate, group, &mut cache),
-            }
-        })
-        .collect();
-    Ok(QueryResult {
-        group_by: query.group_by.clone(),
-        aggregates: query.aggregates.clone(),
-        trials: window_end - window_start,
-        rows,
-    })
-}
-
-/// Restricts `plan` to the segments in the global range `[lo, hi)` — one
-/// shard of a segment-axis union — with group indices remapped
-/// shard-locally (in order of first appearance, preserving global
-/// segment order) and the loss-range predicate **stripped**: per-shard
-/// segment partials are cached *pre* loss range, and
-/// [`combine_segment_partials`] applies the range once after the shards
-/// combine.  Groups with no segment in the range are dropped; their
-/// absence from the shard's partial is the monoid identity.
-pub fn restrict_plan_to_segments(plan: &QueryPlan, lo: usize, hi: usize) -> QueryPlan {
-    let mut local: Vec<Option<usize>> = vec![None; plan.num_groups()];
-    let mut segments = Vec::new();
-    let mut groups = Vec::new();
-    let mut keys: Vec<Vec<DimValue>> = Vec::new();
-    for (&segment, &group) in plan.segments.iter().zip(&plan.groups) {
-        if segment < lo || segment >= hi {
-            continue;
-        }
-        let lg = match local[group] {
-            Some(lg) => lg,
-            None => {
-                let lg = keys.len();
-                keys.push(plan.keys[group].clone());
-                local[group] = Some(lg);
-                lg
-            }
-        };
-        segments.push(segment);
-        groups.push(lg);
-    }
-    QueryPlan {
-        trial_start: plan.trial_start,
-        trial_end: plan.trial_end,
-        loss: None,
-        segments,
-        groups,
-        keys,
-    }
-}
-
-/// Whether every group of `plan` draws all of its segments from a single
-/// shard of the segment-axis layout `ranges` (each entry the global
-/// segment range `[lo, hi)` one shard contributes).
-///
-/// This is the gate for segment-axis partial caching: per-shard partials
-/// combine by element-wise sum, and floating-point addition is not
-/// associative — a group whose segments span shards would see a
-/// different accumulation bracketing than the flat union scan and could
-/// differ in the last ulp.  When every group lives in one shard, exactly
-/// one shard contributes a non-identity vector per group, the
-/// (normalised, `-0.0`-free) zero vector is a *bitwise* identity for
-/// `+`/`max`, and the combined result is exactly the flat scan's bits.
-/// Unaligned plans fall back to the fused whole-union scan.
-pub fn plan_is_shard_aligned(plan: &QueryPlan, ranges: &[(usize, usize)]) -> bool {
-    let shard_of =
-        |segment: usize| ranges.iter().position(|&(lo, hi)| lo <= segment && segment < hi);
-    let mut owner: Vec<Option<usize>> = vec![None; plan.num_groups()];
-    for (&segment, &group) in plan.segments.iter().zip(&plan.groups) {
-        let Some(shard) = shard_of(segment) else {
-            return false;
-        };
-        match owner[group] {
-            None => owner[group] = Some(shard),
-            Some(own) if own == shard => {}
-            Some(_) => return false,
-        }
-    }
-    true
-}
-
-/// Combines per-shard **segment-axis** partials (in shard order) into the
-/// final [`QueryResult`] of `plan` — bit-identical to the flat union scan
-/// when [`plan_is_shard_aligned`] holds (the caller's obligation).
-///
-/// Each part is the output of scanning a
-/// [`restrict_plan_to_segments`]-restricted plan over the full plan
-/// window: pre-loss-range vectors keyed by decoded group keys.  Groups
-/// are re-aligned **by key** (a shard's local group order is an artifact
-/// of its own first-appearance order and survives other shards'
-/// refreshes; a key a shard does not carry contributes the identity),
-/// summed element-wise through the same add/max kernel the scan uses,
-/// then the plan's loss range — deferred by the restriction exactly so
-/// cached shard partials stay range-independent — is applied once and
-/// the rows finalise in canonical key order.
-pub fn combine_segment_partials(
-    query: &Query,
-    plan: &QueryPlan,
-    parts: &[&TrialPartial],
-) -> Result<QueryResult> {
-    let window = (plan.trial_start, plan.trial_end);
-    let trials = plan.trial_end - plan.trial_start;
-    let groups = plan.num_groups();
-    let mut acc = PartialAggregate::identity(groups, trials);
-    for part in parts {
-        if part.window != window {
-            return Err(QueryError::Store(format!(
-                "segment partial covers window {}..{}, plan scans {}..{}",
-                part.window.0, part.window.1, window.0, window.1
-            )));
-        }
-        let index: HashMap<&Vec<DimValue>, usize> = part
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(j, key)| (key, j))
-            .collect();
-        for (group, key) in plan.keys.iter().enumerate() {
-            let Some(&j) = index.get(key) else {
-                continue; // this shard holds no segment of the group: identity
-            };
-            let year = &part.aggregate.year[j];
-            let occ = &part.aggregate.maxocc[j];
-            if year.len() != trials || occ.len() != trials {
-                return Err(QueryError::Store(
-                    "segment partial vectors do not span the plan window; \
-                     they describe a different snapshot"
-                        .to_string(),
-                ));
-            }
-            acc.accumulate(group, year, occ);
-        }
-    }
-    if let Some(range) = plan.loss {
-        acc.retain_by_year(range);
-    }
-
-    let mut segment_counts = vec![0usize; groups];
-    for &group in &plan.groups {
-        segment_counts[group] += 1;
-    }
-    let mut order: Vec<usize> = (0..groups).collect();
-    order.sort_by(|&a, &b| DimValue::compare_keys(&plan.keys[a], &plan.keys[b]));
-    let rows: Vec<ResultRow> = order
-        .into_iter()
-        .map(|group| {
-            let mut cache = SortedCache::default();
-            ResultRow {
-                key: plan.keys[group].clone(),
-                segments: segment_counts[group],
-                values: exec::finalize_group(&query.aggregates, &acc, group, &mut cache),
-            }
-        })
-        .collect();
-    Ok(QueryResult {
-        group_by: query.group_by.clone(),
-        aggregates: query.aggregates.clone(),
-        trials,
-        rows,
-    })
+    let aggregate = combine(&plan, parts, 1)?;
+    let mut results = exec::finalize(
+        [query],
+        &first.keys,
+        &first.segment_counts,
+        plan.num_trials(),
+        &aggregate,
+    );
+    Ok(results.pop().expect("one result per query"))
 }
 
 #[cfg(test)]
@@ -504,13 +472,14 @@ mod tests {
             let (lo, hi) = (plan.trial_start, plan.trial_end);
             let a = lo + (hi - lo) / 3;
             let b = lo + 2 * (hi - lo) / 3;
-            let parts = vec![
+            let parts = [
                 scan_trial_partial(&store, &plan, lo, a),
                 scan_trial_partial(&store, &plan, a, b),
                 scan_trial_partial(&store, &plan, b, hi),
             ];
             assert!(parts[0].memory_bytes() <= parts[0].aggregate.year.len() * (hi - lo) * 16);
-            let stitched = combine_trial_partials(&query, parts).unwrap();
+            let stitched =
+                combine_trial_partial_refs(&query, &parts.iter().collect::<Vec<_>>()).unwrap();
             assert_eq!(
                 stitched,
                 execute(&store, &query).unwrap(),
@@ -531,11 +500,11 @@ mod tests {
         let plan = QueryPlan::new(&store, &query).unwrap();
         // A shard whose window lies entirely outside the query's trial
         // filter contributes a zero-trial partial.
-        let parts = vec![
+        let parts = [
             scan_trial_partial(&store, &plan, 0, 3),
             scan_trial_partial(&store, &plan, 3, 3),
         ];
-        let stitched = combine_trial_partials(&query, parts).unwrap();
+        let stitched = combine_trial_partial_refs(&query, &[&parts[0], &parts[1]]).unwrap();
         assert_eq!(stitched, execute(&store, &query).unwrap());
     }
 
@@ -548,7 +517,7 @@ mod tests {
         let c = scan_trial_partial(&store, &plan, 4, 6);
         // A gap between windows is rejected.
         assert!(matches!(
-            combine_trial_partials(&query, vec![a.clone(), c]),
+            combine_trial_partial_refs(&query, &[&a, &c]),
             Err(QueryError::Store(_))
         ));
         // So are parts whose group keys disagree.
@@ -560,10 +529,10 @@ mod tests {
         let other_plan = QueryPlan::new(&store, &other_query).unwrap();
         let miskeyed = scan_trial_partial(&store, &other_plan, 2, 6);
         assert!(matches!(
-            combine_trial_partials(&query, vec![a, miskeyed]),
+            combine_trial_partial_refs(&query, &[&a, &miskeyed]),
             Err(QueryError::Store(_))
         ));
         // And an empty part list.
-        assert!(combine_trial_partials(&query, vec![]).is_err());
+        assert!(combine_trial_partial_refs(&query, &[]).is_err());
     }
 }

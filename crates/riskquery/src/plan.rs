@@ -28,8 +28,9 @@ impl CodePredicate {
 
 /// The resolved execution plan of one query against one store: the
 /// surviving segments (filter pushdown), their group assignment, and the
-/// trial window.
-#[derive(Debug, Clone)]
+/// trial window.  The default is the empty plan: no segments, no groups,
+/// the empty window.
+#[derive(Debug, Clone, Default)]
 pub struct QueryPlan {
     /// Half-open trial window `[start, end)` actually scanned.
     pub trial_start: usize,
@@ -43,8 +44,8 @@ pub struct QueryPlan {
     /// `groups[i]` is the group index of `segments[i]`.
     pub groups: Vec<usize>,
     /// Decoded group keys, indexed by group (ordered by first appearance in
-    /// segment order, then sorted canonically by
-    /// [`QueryPlan::sorted_group_order`] at finalisation).
+    /// segment order; [`finalize`](crate::exec::finalize) sorts the rows
+    /// canonically).
     pub keys: Vec<Vec<DimValue>>,
 }
 
@@ -133,12 +134,14 @@ impl QueryPlan {
         self.trial_end - self.trial_start
     }
 
-    /// Canonical output order of the groups: ascending by decoded key.
-    /// Returns `order` such that `order[rank] = group`.
-    pub fn sorted_group_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.keys.len()).collect();
-        order.sort_by(|&a, &b| DimValue::compare_keys(&self.keys[a], &self.keys[b]));
-        order
+    /// Segments contributing to each group, indexed by group — what a
+    /// result row reports as its `segments`.
+    pub fn segment_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0usize; self.num_groups()];
+        for &group in &self.groups {
+            counts[group] += 1;
+        }
+        counts
     }
 
     /// Attribution of scanning this plan's whole trial window — what a
@@ -371,8 +374,7 @@ mod tests {
         let plan = QueryPlan::new(&store, &query).unwrap();
         assert_eq!(plan.num_groups(), 2);
         assert_eq!(plan.groups, vec![0, 0, 1, 1]);
-        let order = plan.sorted_group_order();
-        assert_eq!(order.len(), 2);
+        assert_eq!(plan.segment_counts(), vec![2, 2]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Batched query sessions: many queries answered in (close to) one scan.
 //!
-//! The serving primitive for interactive workloads: analysts (or a serving
-//! front-end fanning out user requests) submit a *batch* of queries against
-//! one store.  The session
+//! The in-process form of the grid path (see [`crate::partial`]): analysts
+//! (or a test oracle) submit a *batch* of queries against one store, which
+//! is a 1×1 grid with no cell cache.  The session
 //!
 //! 1. **deduplicates scan specs** — queries that share a filter and
 //!    grouping (`Query::scan_spec`) share one scan and one set of grouped
@@ -20,13 +20,10 @@
 //! This mirrors QuPARA's design of pushing a whole query batch through one
 //! MapReduce job over the shared YLT file.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-use crate::dims::Dimension;
-use crate::exec::{self, PartialAggregate};
+use crate::exec;
+use crate::partial::{combine, group_by_key, scan_trial_partials_fused, TrialPartial};
 use crate::plan::QueryPlan;
-use crate::query::{Filter, Query};
+use crate::query::Query;
 use crate::result::QueryResult;
 use crate::store::{ResultStore, SegmentSource};
 use crate::Result;
@@ -35,10 +32,6 @@ use crate::Result;
 /// in-memory [`ResultStore`] (the default) or a persistent reader.
 pub struct QuerySession<'a, S: SegmentSource + ?Sized = ResultStore> {
     store: &'a S,
-    /// Latency sink for each fused scan pass, attached with
-    /// [`QuerySession::with_scan_histogram`].  A borrow (not an `Arc`) so
-    /// the session stays `Copy`.
-    fused_scan_hist: Option<&'a catrisk_telemetry::Histogram>,
 }
 
 impl<S: SegmentSource + ?Sized> std::fmt::Debug for QuerySession<'_, S> {
@@ -58,35 +51,10 @@ impl<S: SegmentSource + ?Sized> Clone for QuerySession<'_, S> {
 
 impl<S: SegmentSource + ?Sized> Copy for QuerySession<'_, S> {}
 
-/// One deduplicated scan spec and the queries that share it.
-struct Spec {
-    plan: QueryPlan,
-    /// Indices into the batch of the queries using this spec.
-    queries: Vec<usize>,
-    /// Grouped loss vectors, filled by the fused scan.
-    partial: Option<PartialAggregate>,
-}
-
 impl<'a, S: SegmentSource + ?Sized> QuerySession<'a, S> {
     /// Opens a session over `store`.
     pub fn new(store: &'a S) -> Self {
-        Self {
-            store,
-            fused_scan_hist: None,
-        }
-    }
-
-    /// Attaches a histogram that every fused scan pass records its
-    /// wall-clock microseconds into — one sample per trial window scanned
-    /// by [`QuerySession::run`].
-    pub fn with_scan_histogram(mut self, histogram: &'a catrisk_telemetry::Histogram) -> Self {
-        self.fused_scan_hist = Some(histogram);
-        self
-    }
-
-    /// The store this session serves.
-    pub fn store(&self) -> &S {
-        self.store
+        Self { store }
     }
 
     /// Runs a batch of queries, returning one result per query in input
@@ -94,84 +62,52 @@ impl<'a, S: SegmentSource + ?Sized> QuerySession<'a, S> {
     /// batched path produces bit-identical results — but amortises scans
     /// across the batch.
     pub fn run(&self, queries: &[Query]) -> Result<Vec<QueryResult>> {
-        // 1. Deduplicate scan specs.  `Query::scan_spec` is `Eq + Hash`
-        //    with a total float treatment (NaN-free by construction), so a
-        //    hash map makes this linear in the batch size — serving
-        //    front-ends push batches of hundreds of requests through here.
-        let mut specs: Vec<Spec> = Vec::new();
-        let mut spec_index: HashMap<(&Filter, &[Dimension]), usize> = HashMap::new();
-        for (qi, query) in queries.iter().enumerate() {
-            match spec_index.entry(query.scan_spec()) {
-                Entry::Occupied(slot) => specs[*slot.get()].queries.push(qi),
-                Entry::Vacant(slot) => {
-                    let plan = QueryPlan::new(self.store, query)?;
-                    slot.insert(specs.len());
-                    specs.push(Spec {
-                        plan,
-                        queries: vec![qi],
-                        partial: None,
-                    });
-                }
+        // 1. One plan per scan spec.
+        let specs = group_by_key(
+            queries
+                .iter()
+                .enumerate()
+                .map(|(qi, q)| (q.scan_spec(), qi)),
+        );
+        let plans = specs
+            .iter()
+            .map(|(_, members)| QueryPlan::new(self.store, &queries[members[0]]))
+            .collect::<Result<Vec<QueryPlan>>>()?;
+
+        // 2. On the 1×1 grid every plan is one cell spanning its own
+        //    trial window: one fused scan per distinct window.
+        let mut parts: Vec<Option<TrialPartial>> = plans.iter().map(|_| None).collect();
+        let cells = plans.iter().enumerate();
+        for ((start, end), members) in
+            group_by_key(cells.map(|(si, plan)| ((plan.trial_start, plan.trial_end), si)))
+        {
+            let cell_plans: Vec<&QueryPlan> = members.iter().map(|&si| &plans[si]).collect();
+            let scanned = scan_trial_partials_fused(self.store, &cell_plans, start, end);
+            for (si, part) in members.into_iter().zip(scanned) {
+                parts[si] = Some(part);
             }
         }
 
-        // 2. Fuse scans per trial window.
-        let mut windows: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-        for (si, spec) in specs.iter().enumerate() {
-            let key = (spec.plan.trial_start, spec.plan.trial_end);
-            match windows.iter_mut().find(|(s, e, _)| (*s, *e) == key) {
-                Some((_, _, members)) => members.push(si),
-                None => windows.push((key.0, key.1, vec![si])),
-            }
-        }
-        for (start, end, members) in windows {
-            let scan_started = std::time::Instant::now();
-            let partials = self.fused_scan(start, end, &members, &specs);
-            if let Some(histogram) = self.fused_scan_hist {
-                histogram.record(scan_started.elapsed().as_micros() as u64);
-            }
-            for (si, partial) in members.into_iter().zip(partials) {
-                specs[si].partial = Some(partial);
-            }
-        }
-
-        // 3. Finalise every query from its spec's shared grouped data.
-        //    `SpecState` carries the per-spec row order, segment counts and
-        //    lazily sorted loss copies, so they are computed once per spec
-        //    and shared by every query in the batch.
+        // 3. Combine (a single part: borrowed, not copied) and finalise
+        //    every query of a spec from its shared grouped data.
         let mut results: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
-        for spec in &specs {
-            let partial = spec.partial.as_ref().expect("scanned above");
-            let mut state = exec::SpecState::new(&spec.plan);
-            for &qi in &spec.queries {
-                results[qi] = Some(exec::assemble(
-                    &queries[qi],
-                    &spec.plan,
-                    partial,
-                    &mut state,
-                ));
+        for (((_, members), plan), part) in specs.iter().zip(&plans).zip(&parts) {
+            let aggregate = combine(plan, &[part.as_ref().expect("scanned above")], 1)?;
+            let finals = exec::finalize(
+                members.iter().map(|&qi| &queries[qi]),
+                &plan.keys,
+                &plan.segment_counts(),
+                plan.num_trials(),
+                &aggregate,
+            );
+            for (&qi, result) in members.iter().zip(finals) {
+                results[qi] = Some(result);
             }
         }
         Ok(results
             .into_iter()
             .map(|r| r.expect("every query finalised"))
             .collect())
-    }
-
-    /// One pass over the trial window `[start, end)` serving every spec in
-    /// `members`: per trial block, each segment's loss slices are read once
-    /// and accumulated into every spec that selected the segment.  The
-    /// pass itself is [`exec::fused_scan_plans`] — the same core the
-    /// trial-partial path fuses its per-shard rescans through.
-    fn fused_scan(
-        &self,
-        start: usize,
-        end: usize,
-        members: &[usize],
-        specs: &[Spec],
-    ) -> Vec<PartialAggregate> {
-        let plans: Vec<&QueryPlan> = members.iter().map(|&si| &specs[si].plan).collect();
-        exec::fused_scan_plans(self.store, &plans, start, end)
     }
 }
 
@@ -265,9 +201,7 @@ mod tests {
     fn batched_results_match_per_query_execution() {
         let store = random_store(257, 24, 99);
         let queries = batch();
-        let session = QuerySession::new(&store);
-        assert_eq!(session.store().num_segments(), 24);
-        let batched = session.run(&queries).unwrap();
+        let batched = QuerySession::new(&store).run(&queries).unwrap();
         for (query, batched_result) in queries.iter().zip(&batched) {
             let single = execute(&store, query).unwrap();
             assert_eq!(

@@ -211,9 +211,10 @@ impl MergedSchema {
     }
 
     /// The global segment range `[lo, hi)` each shard contributes, in
-    /// shard order — the layout a segment-axis partial cache gates its
-    /// shard-alignment check on
-    /// ([`plan_is_shard_aligned`](crate::partial::plan_is_shard_aligned)).
+    /// shard order — the segment half of a [`Grid`](crate::partial::Grid),
+    /// which the alignment rule
+    /// ([`split_plan_by_segments`](crate::partial::split_plan_by_segments))
+    /// cuts plans along.
     pub fn segment_ranges(&self) -> Vec<(usize, usize)> {
         self.seg_starts
             .windows(2)

@@ -1,46 +1,84 @@
-//! The generation-keyed caches: whole query results, and per-shard
-//! partial aggregates for trial-sharded catalogs.
+//! The generation-keyed caches: whole query results, and per-cell
+//! partial aggregates for catalogs cut into more than one cell.
 //!
-//! Keys are whole [`Query`] values — `Query` is `Eq + Hash` with a total,
-//! NaN-free float treatment precisely so these maps can neither collide
-//! nor miss — and every entry remembers the generation stamps (see
+//! Every entry remembers the generation stamps (see
 //! [`SourceProvider::with_source`](crate::source::SourceProvider::with_source))
 //! it was computed under.  A lookup hits only when the stamps match
 //! exactly, so a shard's entries go stale precisely when its refresh
 //! observes a new commit — cached replies are always bit-identical to a
 //! fresh scan of the current snapshot, never a stale approximation.
 //!
-//! [`ResultCache`] keys `(query, whole generation vector)`: any shard's
-//! refresh retires the entry, because the final result mixes every
-//! shard's data.  [`PartialCache`] is the per-shard refinement — on
-//! *either* axis: it keys `(query, shard)` and stamps each entry with
-//! only *that shard's* generation plus a segment-count check (on the
-//! trial axis the union's committed prefix, on the segment axis the
-//! shard's own count), so a refresh of one shard leaves every other
-//! shard's cached partial valid — the whole point of caching partials
+//! [`ResultCache`] keys `(query, whole generation vector)` — `Query` is
+//! `Eq + Hash` with a total, NaN-free float treatment precisely so this
+//! map can neither collide nor miss: any shard's refresh retires the
+//! entry, because the final result mixes every shard's data.  It
+//! memoises *finalisation*, which cells do not.  [`PartialCache`] is the
+//! per-cell refinement, on either axis: it keys `(scan spec, cell)` and
+//! stamps each entry with only *that cell's shard's* generation plus a
+//! segment-count check, so a refresh of one shard leaves every other
+//! cell's cached partial valid — the whole point of caching partials
 //! instead of results.  Entries hand out [`Arc`]s: a hit is a pointer
 //! bump, and publishing a freshly scanned partial shares the same
-//! allocation the stitch is about to read.
+//! allocation the combine is about to read.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
-use catrisk_riskquery::{Query, QueryResult, TrialPartial};
+use catrisk_riskquery::{Dimension, Filter, Query, QueryResult, TrialPartial};
 
-/// One cached result and the snapshot it is valid for.
+/// The recency bookkeeping both caches share: a map whose entries
+/// remember when they were last touched, so the coldest can be dropped.
 #[derive(Debug)]
-struct CacheEntry {
-    generations: Vec<u64>,
-    result: QueryResult,
-    last_used: u64,
+struct Lru<K, V> {
+    tick: u64,
+    entries: HashMap<K, (u64, V)>,
 }
 
-/// A bounded result cache keyed on `(Query, generation vector)`.
-#[derive(Debug, Default)]
+impl<K: Clone + Eq + Hash, V> Lru<K, V> {
+    fn new() -> Self {
+        Self {
+            tick: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    /// The value under `key`, marked most recently used.
+    fn touch(&mut self, key: &K) -> Option<&mut V> {
+        self.tick += 1;
+        let (used, value) = self.entries.get_mut(key)?;
+        *used = self.tick;
+        Some(value)
+    }
+
+    /// Inserts (or replaces) `key` as the most recently used entry.
+    fn insert(&mut self, key: K, value: V) {
+        self.tick += 1;
+        self.entries.insert(key, (self.tick, value));
+    }
+
+    fn remove(&mut self, key: &K) -> Option<V> {
+        self.entries.remove(key).map(|(_, value)| value)
+    }
+
+    /// Removes the least recently used entry other than `keep`'s.
+    fn evict_coldest(&mut self, keep: &K) -> Option<V> {
+        let coldest = self
+            .entries
+            .iter()
+            .filter(|(key, _)| *key != keep)
+            .min_by_key(|(_, (used, _))| *used)
+            .map(|(key, _)| key.clone())?;
+        self.remove(&coldest)
+    }
+}
+
+/// A bounded result cache keyed on `(Query, generation vector)`: each
+/// entry is one result and the stamps of the snapshot it is valid for.
+#[derive(Debug)]
 pub(crate) struct ResultCache {
     capacity: usize,
-    tick: u64,
-    entries: HashMap<Query, CacheEntry>,
+    lru: Lru<Query, (Vec<u64>, QueryResult)>,
 }
 
 impl ResultCache {
@@ -48,22 +86,17 @@ impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            tick: 0,
-            entries: HashMap::with_capacity(capacity.min(1024)),
+            lru: Lru::new(),
         }
     }
 
     /// Looks up `query` under the current `generations`.  A stale entry
     /// (any shard refreshed since it was cached) is evicted on sight.
     pub fn get(&mut self, query: &Query, generations: &[u64]) -> Option<QueryResult> {
-        self.tick += 1;
-        match self.entries.get_mut(query) {
-            Some(entry) if entry.generations == generations => {
-                entry.last_used = self.tick;
-                Some(entry.result.clone())
-            }
+        match self.lru.touch(query) {
+            Some((stamps, result)) if stamps.as_slice() == generations => Some(result.clone()),
             Some(_) => {
-                self.entries.remove(query);
+                self.lru.remove(query);
                 None
             }
             None => None,
@@ -76,157 +109,135 @@ impl ResultCache {
         if self.capacity == 0 {
             return;
         }
-        self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&query) {
-            if let Some(coldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(query, _)| query.clone())
-            {
-                self.entries.remove(&coldest);
-            }
+        if self.len() >= self.capacity && !self.lru.entries.contains_key(&query) {
+            self.lru.evict_coldest(&query);
         }
-        self.entries.insert(
-            query,
-            CacheEntry {
-                generations: generations.to_vec(),
-                result,
-                last_used: self.tick,
-            },
-        );
+        self.lru.insert(query, (generations.to_vec(), result));
     }
 
-    /// Live entries (diagnostics).
-    #[cfg(test)]
+    /// Live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.entries.len()
     }
 }
 
-/// One cached per-shard partial and the per-shard snapshot it is valid
-/// for.
+/// An owned [`Query::scan_spec`]: the filter and grouping — everything a
+/// cell partial depends on besides the data.  Aggregates are absent on
+/// purpose: queries that differ only in aggregates share their cells.
+pub(crate) type SpecKey = (Filter, Vec<Dimension>);
+
+/// What a cached cell partial is valid for: the owning shard's generation
+/// stamp, and the segment count of the cell's segment range, both as of
+/// the scan.  On an uncut segment axis the count is the union's committed
+/// prefix — when a lagging trial shard catches up and the prefix grows,
+/// *every* cell covers too few segments, even cells whose own stamp did
+/// not move; on a cut one it is the shard's own count.
+pub(crate) type CellStamp = (u64, usize);
+
+/// One cached cell partial and the per-cell snapshot it is valid for.
 #[derive(Debug)]
-struct PartialEntry {
-    /// The owning shard's generation stamp when the partial was scanned.
-    generation: u64,
-    /// The segment-count half of the key contract.  Trial axis: the
-    /// union's committed segment prefix the producing plan saw — when a
-    /// lagging shard catches up and the prefix grows, *every* shard's
-    /// partial covers too few segments, even shards whose own stamp did
-    /// not move.  Segment axis: the shard's own segment count.
-    num_segments: usize,
+struct CellEntry {
+    stamp: CellStamp,
     partial: Arc<TrialPartial>,
-    last_used: u64,
 }
 
-/// A bounded per-shard partial-aggregate cache keyed on
-/// `(Query, shard index)`, validated against
-/// `(that shard's generation, union segment prefix)`.
+/// A bounded cell-partial cache keyed on `(scan spec, cell)`, each entry
+/// validated against its [`CellStamp`].
 ///
 /// This is what turns a single-shard refresh from "invalidate every
-/// cached answer" into "rescan one trial window": the server re-combines
-/// the surviving partials with the freshly scanned one through the exact
-/// adjacent-window monoid, bit-identical to a full rescan.
-#[derive(Debug, Default)]
+/// cached answer" into "rescan one cell": the server re-combines the
+/// surviving partials with the freshly scanned one through the exact
+/// combine, bit-identical to a full rescan.  It is laid out spec → cell
+/// slots (indexed by [`Cell::slot`](catrisk_riskquery::Cell::slot)), so a
+/// probe borrows its key, and a spec's cells are evicted (or purged)
+/// together — they are only ever useful together.
+#[derive(Debug)]
 pub(crate) struct PartialCache {
     capacity: usize,
-    tick: u64,
-    entries: HashMap<(Query, usize), PartialEntry>,
+    /// Filled cell slots across all specs — what `capacity` bounds.
+    len: usize,
+    lru: Lru<SpecKey, Vec<Option<CellEntry>>>,
 }
 
 impl PartialCache {
-    /// A cache holding at most `capacity` per-shard partials (0 disables
-    /// partial caching).
+    /// A cache holding at most `capacity` cell partials (0 disables cell
+    /// caching).  Because a spec's cells go together, the bound can be
+    /// exceeded by at most one spec's own cell count.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            tick: 0,
-            entries: HashMap::with_capacity(capacity.min(1024)),
+            len: 0,
+            lru: Lru::new(),
         }
     }
 
-    /// Looks up the partial of `query` on `shard` under the shard's
-    /// current `generation` and the axis's segment-count check.  A stale
-    /// entry is evicted on sight.  The returned `Arc` shares the cached
-    /// allocation — a hit never copies the loss vectors.
+    /// Looks up `spec`'s partial for cell `slot` under the cell's current
+    /// `stamp`.  A stale entry is evicted on sight.  The returned `Arc`
+    /// shares the cached allocation — a hit never copies the loss vectors.
     pub fn get(
         &mut self,
-        query: &Query,
-        shard: usize,
-        generation: u64,
-        num_segments: usize,
+        spec: &SpecKey,
+        slot: usize,
+        stamp: CellStamp,
     ) -> Option<Arc<TrialPartial>> {
-        self.tick += 1;
-        // The tuple key forces one Query clone per probe; queries are
-        // cheap to clone (Arc-free but small vectors) and probes are
-        // per-miss-per-shard, so this stays off the result-cache-hit
-        // fast path.
-        let key = (query.clone(), shard);
-        match self.entries.get_mut(&key) {
-            Some(entry) if entry.generation == generation && entry.num_segments == num_segments => {
-                entry.last_used = self.tick;
-                Some(Arc::clone(&entry.partial))
-            }
+        let cell = self.lru.touch(spec)?.get_mut(slot)?;
+        match cell {
+            Some(entry) if entry.stamp == stamp => Some(Arc::clone(&entry.partial)),
             Some(_) => {
-                self.entries.remove(&key);
+                *cell = None;
+                self.len -= 1;
                 None
             }
             None => None,
         }
     }
 
-    /// Caches one shard's partial, evicting the least-recently-used
-    /// entry when full.  Takes an `Arc` so the caller publishes the same
-    /// allocation it is about to stitch from, without a copy.
+    /// Caches one cell's partial, first evicting least-recently-used
+    /// *other* specs while the cache is full.  Takes an `Arc` so the
+    /// caller publishes the same allocation it is about to combine from,
+    /// without a copy; the key is cloned only when the spec is new.
     pub fn insert(
         &mut self,
-        query: &Query,
-        shard: usize,
-        generation: u64,
-        num_segments: usize,
+        spec: &SpecKey,
+        slot: usize,
+        stamp: CellStamp,
         partial: Arc<TrialPartial>,
     ) {
         if self.capacity == 0 {
             return;
         }
-        self.tick += 1;
-        let key = (query.clone(), shard);
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some(coldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| key.clone())
-            {
-                self.entries.remove(&coldest);
+        while self.len >= self.capacity {
+            match self.lru.evict_coldest(spec) {
+                Some(cells) => self.len -= cells.iter().flatten().count(),
+                None => break,
             }
         }
-        self.entries.insert(
-            key,
-            PartialEntry {
-                generation,
-                num_segments,
-                partial,
-                last_used: self.tick,
-            },
-        );
+        if self.lru.touch(spec).is_none() {
+            self.lru.insert(spec.clone(), Vec::new());
+        }
+        let cells = self.lru.touch(spec).expect("inserted above");
+        if cells.len() <= slot {
+            cells.resize_with(slot + 1, || None);
+        }
+        if cells[slot].replace(CellEntry { stamp, partial }).is_none() {
+            self.len += 1;
+        }
     }
 
-    /// Drops every shard's entry for `query` across `shards` shards —
-    /// the self-heal path after a failed stitch: entries that cannot
-    /// combine disagree with each other, so none of them can be trusted
-    /// and the next execution must rescan from scratch.
-    pub fn purge(&mut self, query: &Query, shards: usize) {
-        for shard in 0..shards {
-            self.entries.remove(&(query.clone(), shard));
+    /// Drops every cell of `spec` — the self-heal path after a failed
+    /// combine: entries that cannot combine disagree with each other, so
+    /// none of them can be trusted and the next execution must rescan
+    /// from scratch.
+    pub fn purge(&mut self, spec: &SpecKey) {
+        if let Some(cells) = self.lru.remove(spec) {
+            self.len -= cells.iter().flatten().count();
         }
     }
 
     /// Live entries (diagnostics).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 }
 
@@ -296,27 +307,39 @@ mod tests {
         }
     }
 
+    /// Distinct scan specs (the `query` helper's shapes all share one).
+    fn spec(layer: u32) -> SpecKey {
+        let filter = Filter {
+            layers: Some(vec![layer]),
+            ..Filter::all()
+        };
+        (filter, vec![Dimension::Peril])
+    }
+
     #[test]
-    fn partials_hit_per_shard_generation_only() {
+    fn partials_hit_per_cell_generation_only() {
         let mut cache = PartialCache::new(8);
-        cache.insert(&query(1), 0, 7, 3, Arc::new(partial((0, 2))));
-        cache.insert(&query(1), 1, 9, 3, Arc::new(partial((2, 5))));
-        // Shard 1's generation moves: only shard 1's entry goes stale.
+        cache.insert(&spec(1), 0, (7, 3), Arc::new(partial((0, 2))));
+        cache.insert(&spec(1), 1, (9, 3), Arc::new(partial((2, 5))));
+        // Cell 1's shard generation moves: only cell 1's entry goes stale.
         assert_eq!(
-            cache.get(&query(1), 0, 7, 3).as_deref(),
+            cache.get(&spec(1), 0, (7, 3)).as_deref(),
             Some(&partial((0, 2))),
-            "untouched shard must keep hitting"
+            "untouched cell must keep hitting"
         );
-        assert!(cache.get(&query(1), 1, 10, 3).is_none());
+        assert!(cache.get(&spec(1), 1, (10, 3)).is_none());
         assert_eq!(cache.len(), 1, "stale entries are evicted on sight");
+        // Never-filled slots and unknown specs are plain misses.
+        assert!(cache.get(&spec(1), 5, (7, 3)).is_none());
+        assert!(cache.get(&spec(2), 0, (7, 3)).is_none());
     }
 
     #[test]
     fn partial_hits_share_the_cached_allocation() {
         let mut cache = PartialCache::new(8);
         let published = Arc::new(partial((0, 2)));
-        cache.insert(&query(1), 0, 7, 3, Arc::clone(&published));
-        let hit = cache.get(&query(1), 0, 7, 3).expect("hit");
+        cache.insert(&spec(1), 0, (7, 3), Arc::clone(&published));
+        let hit = cache.get(&spec(1), 0, (7, 3)).expect("hit");
         assert!(
             Arc::ptr_eq(&published, &hit),
             "a hit must be a pointer bump, not a copy"
@@ -326,27 +349,47 @@ mod tests {
     #[test]
     fn partials_go_stale_when_the_segment_prefix_grows() {
         let mut cache = PartialCache::new(8);
-        cache.insert(&query(1), 0, 7, 3, Arc::new(partial((0, 2))));
+        cache.insert(&spec(1), 0, (7, 3), Arc::new(partial((0, 2))));
         // A lagging shard caught up: the union now serves 4 segments, so
         // every 3-segment partial is too narrow even at the same stamp.
-        assert!(cache.get(&query(1), 0, 7, 4).is_none());
+        assert!(cache.get(&spec(1), 0, (7, 4)).is_none());
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn purge_drops_every_cell_of_one_spec() {
+        let mut cache = PartialCache::new(8);
+        for slot in 0..3 {
+            cache.insert(&spec(1), slot, (1, 1), Arc::new(partial((0, 2))));
+        }
+        cache.insert(&spec(2), 0, (1, 1), Arc::new(partial((0, 2))));
+        cache.purge(&spec(1));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&spec(1), 0, (1, 1)).is_none());
+        assert!(cache.get(&spec(2), 0, (1, 1)).is_some());
     }
 
     #[test]
     fn partial_capacity_evicts_least_recently_used() {
         let mut cache = PartialCache::new(2);
-        cache.insert(&query(1), 0, 1, 1, Arc::new(partial((0, 2))));
-        cache.insert(&query(2), 0, 1, 1, Arc::new(partial((0, 2))));
-        assert!(cache.get(&query(1), 0, 1, 1).is_some());
-        cache.insert(&query(3), 0, 1, 1, Arc::new(partial((0, 2))));
+        cache.insert(&spec(1), 0, (1, 1), Arc::new(partial((0, 2))));
+        cache.insert(&spec(2), 0, (1, 1), Arc::new(partial((0, 2))));
+        assert!(cache.get(&spec(1), 0, (1, 1)).is_some());
+        cache.insert(&spec(3), 0, (1, 1), Arc::new(partial((0, 2))));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&query(1), 0, 1, 1).is_some());
-        assert!(cache.get(&query(2), 0, 1, 1).is_none(), "LRU evicted");
-        assert!(cache.get(&query(3), 0, 1, 1).is_some());
+        assert!(cache.get(&spec(1), 0, (1, 1)).is_some());
+        assert!(cache.get(&spec(2), 0, (1, 1)).is_none(), "LRU evicted");
+        assert!(cache.get(&spec(3), 0, (1, 1)).is_some());
+
+        // A spec is never evicted to make room for its own cells.
+        let mut tight = PartialCache::new(1);
+        tight.insert(&spec(1), 0, (1, 1), Arc::new(partial((0, 2))));
+        tight.insert(&spec(1), 1, (1, 1), Arc::new(partial((2, 4))));
+        assert!(tight.get(&spec(1), 0, (1, 1)).is_some());
+        assert!(tight.get(&spec(1), 1, (1, 1)).is_some());
 
         let mut off = PartialCache::new(0);
-        off.insert(&query(1), 0, 1, 1, Arc::new(partial((0, 2))));
-        assert!(off.get(&query(1), 0, 1, 1).is_none());
+        off.insert(&spec(1), 0, (1, 1), Arc::new(partial((0, 2))));
+        assert!(off.get(&spec(1), 0, (1, 1)).is_none());
     }
 }

@@ -55,7 +55,7 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use catrisk_riskquery::{
-    MergedSchema, ResultStore, SegmentSource, ShardedSource, TrialShardedSource,
+    Grid, MergedSchema, ResultStore, SegmentSource, ShardedSource, TrialShardedSource,
 };
 use catrisk_riskstore::{StoreError, StoreReader};
 use catrisk_telemetry::{Histogram, Registry};
@@ -655,8 +655,7 @@ impl StoreCatalog {
         f(SourceSnapshot {
             source: &empty,
             generations,
-            trial_windows: None,
-            segment_ranges: None,
+            grid: Grid::default(),
         })
     }
 }
@@ -850,8 +849,10 @@ impl SourceProvider for StoreCatalog {
                     f(SourceSnapshot {
                         source: &stitched,
                         generations: &generations,
-                        trial_windows: Some(&topology.windows),
-                        segment_ranges: None,
+                        grid: Grid {
+                            trial_windows: &topology.windows,
+                            ..Grid::default()
+                        },
                     })
                 }
                 _ => self.with_empty(topology.num_trials, &generations, f),
@@ -875,13 +876,12 @@ impl SourceProvider for StoreCatalog {
             [only] => f(SourceSnapshot {
                 source: *only,
                 generations: &generations,
-                trial_windows: None,
-                segment_ranges: None,
+                grid: Grid::default(),
             }),
             _ => {
-                // The segment-partial cache keys `(query, shard)` against
-                // `generations[shard]`, so shard-indexed ranges are only
-                // sound when no shard was excluded above.
+                // Cell `j` is stamped with `generations[j]`, so the
+                // shard-indexed ranges are only sound when no shard was
+                // excluded above; a degraded union serves uncut.
                 let all_usable = usable.len() == guards.len();
                 // Re-attach the memoized merged schema when nothing
                 // changed since it was built; otherwise rebuild and
@@ -903,12 +903,18 @@ impl SourceProvider for StoreCatalog {
                 if let Some(histogram) = &schema_memo {
                     histogram.record(memo_started.elapsed().as_micros() as u64);
                 }
-                let ranges = all_usable.then(|| sharded.schema().segment_ranges());
+                let ranges = if all_usable {
+                    sharded.schema().segment_ranges()
+                } else {
+                    Vec::new()
+                };
                 f(SourceSnapshot {
                     source: &sharded,
                     generations: &generations,
-                    trial_windows: None,
-                    segment_ranges: ranges.as_deref(),
+                    grid: Grid {
+                        segment_ranges: &ranges,
+                        ..Grid::default()
+                    },
                 })
             }
         }
@@ -1048,7 +1054,7 @@ mod tests {
             .unwrap();
         let before = catalog.with_source(|snapshot| {
             assert_eq!(snapshot.generations.len(), 2);
-            assert!(snapshot.trial_windows.is_none());
+            assert!(snapshot.grid.trial_windows.is_empty());
             execute(snapshot.source, &query).unwrap()
         });
 
@@ -1117,10 +1123,7 @@ mod tests {
         ];
         for query in &queries {
             let stitched = catalog.with_source(|snapshot| {
-                assert_eq!(
-                    snapshot.trial_windows,
-                    Some(&[(0, 9), (9, 16), (16, 24)][..])
-                );
+                assert_eq!(snapshot.grid.trial_windows, [(0, 9), (9, 16), (16, 24)]);
                 execute(snapshot.source, query).unwrap()
             });
             assert_eq!(
@@ -1545,7 +1548,7 @@ mod tests {
         assert!(catalog.refresh_error_count() >= 1);
         catalog.with_source(|snapshot| {
             assert!(
-                snapshot.trial_windows.is_none(),
+                snapshot.grid.trial_windows.is_empty(),
                 "degraded snapshots are unsharded"
             );
             assert!(execute(snapshot.source, &query).unwrap().rows.is_empty());

@@ -98,17 +98,20 @@
 //! cached replies are bit-identical to a fresh scan of the current
 //! snapshot, never a stale approximation.
 //!
-//! On a trial-axis catalog the result cache is backed by a **per-shard
-//! partial-aggregate cache**: each `(query, shard)` pair caches the
-//! shard's [`TrialPartial`](catrisk_riskquery::TrialPartial), stamped
-//! with only that shard's generation (plus the union's committed segment
-//! prefix).  A refresh of one shard therefore rescans *one trial window*
-//! and re-combines the other shards' cached partials through the exact
-//! adjacent-window monoid — where the whole-result cache alone would
-//! have rescanned the entire axis for every cached query.  The
-//! [`StatsSnapshot`] `partial_hits` / `partial_misses` counters account
-//! for exactly this reuse.  See `docs/ARCHITECTURE.md` at the repository
-//! root for the full refresh / generation / invalidation protocol.
+//! On a multi-shard catalog (either axis) the result cache is backed by a
+//! **per-cell partial-aggregate cache**: every snapshot is a grid of
+//! (segment-range × trial-window) cells, and each `(scan spec, cell)`
+//! pair caches the cell's [`TrialPartial`](catrisk_riskquery::TrialPartial),
+//! stamped with only that cell's shard's generation (plus the cell's
+//! segment count).  A refresh of one shard therefore rescans *one cell*
+//! per cached spec and re-combines the other cells' cached partials
+//! exactly — where the whole-result cache alone would have rescanned
+//! everything for every cached query.  Every result-cache miss, on every
+//! topology, takes the same plan → cells → fused scan → combine →
+//! finalise path; the [`StatsSnapshot`] `partial_hits` /
+//! `partial_misses` counters account for its cell traffic.  See
+//! `docs/ARCHITECTURE.md` at the repository root for the grid and the
+//! full refresh / generation / invalidation protocol.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

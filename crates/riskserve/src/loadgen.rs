@@ -299,7 +299,7 @@ impl std::fmt::Display for LoadReport {
             if stats.partial_hits + stats.partial_misses > 0 {
                 write!(
                     f,
-                    "\nserver partial cache: {} shard-window hits / {} rescans \
+                    "\nserver partial cache: {} cell hits / {} cell scans \
                      (hit rate {:.0}%)",
                     stats.partial_hits,
                     stats.partial_misses,

@@ -1,22 +1,23 @@
 //! The micro-batching server core: bounded queue → batch window →
 //! refresh → cache → fused scan → reply slots.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use catrisk_riskquery::{
-    combine_segment_partials, combine_trial_partial_refs, plan_is_shard_aligned,
-    restrict_plan_to_segments, scan_trial_partials_fused, Query, QueryPlan, QueryResult,
-    QuerySession, ScanAttribution, SegmentSource, TrialPartial,
+    combine, finalize, group_by_key, plan_cells, scan_trial_partial, scan_trial_partials_fused,
+    Cell, PartialAggregate, Query, QueryPlan, QueryResult, ScanAttribution, SegmentSource,
+    TrialPartial,
 };
 use catrisk_telemetry::{
     EventRecord, EventValue, MetricsSnapshot, Span, TraceLookup, TraceRecord, TraceSpan,
 };
 
-use crate::cache::{PartialCache, ResultCache};
-use crate::source::SourceProvider;
+use crate::cache::{PartialCache, ResultCache, SpecKey};
+use crate::source::{SourceProvider, SourceSnapshot};
 use crate::stats::{Counters, RequestTimings, StatsSnapshot};
 use crate::sync::{lock, wait, wait_timeout};
 use crate::telemetry::ServerTelemetry;
@@ -42,13 +43,15 @@ pub struct ServerConfig {
     /// An entry is one unique query's full result; it is served again
     /// without scanning until any shard's committed generation moves.
     pub cache_capacity: usize,
-    /// Entries the per-shard partial-aggregate cache holds (0 disables
+    /// Entries the per-cell partial-aggregate cache holds (0 disables
     /// it).  Exercised by multi-shard catalogs on either axis: an entry
-    /// is one `(query, shard)` partial, valid until *that shard's*
-    /// generation moves (or the keyed segment count changes), so a
-    /// single-shard refresh rescans one trial window (trial axis) or one
-    /// shard's segments (segment axis, shard-aligned plans) instead of
-    /// everything.
+    /// is one `(scan spec, cell)` partial, valid until *that cell's
+    /// shard's* generation moves (or the keyed segment count changes), so
+    /// a single-shard refresh rescans one trial window (trial axis) or
+    /// one shard's segments (segment axis, shard-aligned plans) instead
+    /// of everything.  Plans with a single cell — every plan on a flat
+    /// store — never enter it: the result cache already holds all a
+    /// one-cell key could.
     pub partial_cache_capacity: usize,
     /// Batches whose execution exceeds this many microseconds emit a
     /// `slow-batch` flight-recorder event.  0 (the default) disables the
@@ -135,7 +138,7 @@ impl ServeError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reply {
     /// The query's result, bit-identical to a sequential
-    /// [`QuerySession`] run of the same query.
+    /// [`execute`](catrisk_riskquery::execute) of the same query.
     pub result: QueryResult,
     /// Where this request's latency went.
     pub timings: RequestTimings,
@@ -236,11 +239,12 @@ struct Shared<P> {
 /// [`ServerConfig::batch_window`], whichever comes first.  Each batch
 /// first refreshes the provider (newly committed segments become
 /// visible), then consults the generation-keyed result cache, and pushes
-/// only the cache misses through one fused [`QuerySession::run`] over the
-/// snapshot — so N concurrent requests over the same slices cost ~1 fused
-/// scan instead of N, and repeated queries cost no scan at all until new
-/// data lands.  Results are bit-identical to running each query alone
-/// against the current snapshot.
+/// only the cache misses through the one grid executor (plan → cells →
+/// fused scan → combine → finalise) over the snapshot — so N concurrent
+/// requests over the same slices cost ~1 fused scan instead of N, and
+/// repeated queries cost no scan at all until new data lands.  Results
+/// are bit-identical to running each query alone against the current
+/// snapshot.
 ///
 /// Dropping the server shuts it down: queued requests are still answered
 /// (never dropped), subsequent submits fail with
@@ -498,13 +502,12 @@ fn worker_loop<P: SourceProvider>(shared: &Shared<P>) {
 
 /// Per-unique-query scan detail captured while a batch executes, for
 /// traced member requests: the scan-stage duration (the same clock read
-/// the scan histogram recorded), the plan-derived attribution, the
-/// partial-cache traffic and the per-shard child spans (partial-cache
-/// paths on either axis, with start offsets relative to the scan's own
-/// start).
+/// the scan histogram recorded), the plan-derived attribution, the cell
+/// cache traffic of the query's scan spec and the spec's per-cell child
+/// spans (start offsets relative to the scan's own start).
 struct ScanDetail {
     micros: u64,
-    attribution: Option<ScanAttribution>,
+    attribution: ScanAttribution,
     partial_hits: u64,
     partial_misses: u64,
     children: Vec<TraceSpan>,
@@ -513,8 +516,8 @@ struct ScanDetail {
 /// Executes one batch: refreshes the provider (newly committed segments
 /// become visible and stale cache generations retire), dedups identical
 /// queries across submitters, answers what it can from the result cache,
-/// runs the remaining misses through one fused scan (the session
-/// additionally dedups shared scan specs), and fulfils every reply slot.
+/// runs the remaining misses through [`run_grid`], and fulfils every
+/// reply slot.
 ///
 /// When any member of the batch is traced, the batch-level stage timings
 /// (refresh, cache lookup, scan) are captured once from the spans' own
@@ -525,11 +528,7 @@ fn execute_batch<P: SourceProvider>(shared: &Shared<P>, batch: Vec<Pending>) {
     let started = Instant::now();
     // First traced member, if any: the batch-level exemplar id (stamped
     // on the batch-exec histogram bucket and the slow-batch event).
-    let batch_trace = batch
-        .iter()
-        .map(|pending| pending.trace_id)
-        .find(|&id| id != 0)
-        .unwrap_or(0);
+    let batch_trace = first_traced(batch.iter().map(|pending| pending.trace_id));
     let any_traced = batch_trace != 0;
     // Refresh before snapshotting, so a query submitted after a commit
     // was published observes it; the refresh cost is attributed to this
@@ -598,7 +597,6 @@ fn execute_batch<P: SourceProvider>(shared: &Shared<P>, batch: Vec<Pending>) {
     let mut cache_lookup_micros = 0u64;
     let mut scan_details: Vec<Option<ScanDetail>> = (0..unique.len()).map(|_| None).collect();
     let outcomes: Vec<Result<QueryResult, ServeError>> = shared.provider.with_source(|snapshot| {
-        let source = snapshot.source;
         let generations = snapshot.generations;
         let mut results: Vec<Option<Result<QueryResult, ServeError>>> =
             (0..unique.len()).map(|_| None).collect();
@@ -621,101 +619,17 @@ fn execute_batch<P: SourceProvider>(shared: &Shared<P>, batch: Vec<Pending>) {
         shared.counters.cache_hits.add(batch_hits as u64);
         shared.counters.cache_misses.add(batch_misses as u64);
 
-        // 2a. Trial-sharded snapshot: answer the misses from cached
-        //     per-shard partials, with ONE fused scan per (shard,
-        //     window) the batch actually needs — every missing query on
-        //     that window rides the same pass.
-        if let Some(windows) = snapshot.trial_windows {
-            run_trial_partial_batch(
+        // 2. Every miss, on every topology, takes the one grid path.
+        if !misses.is_empty() {
+            run_grid(
                 shared,
-                source,
-                generations,
-                windows,
+                &snapshot,
                 &unique,
                 &rep_trace,
                 &misses,
                 &mut results,
                 &mut scan_details,
             );
-        } else if !misses.is_empty() {
-            // 2b. Segment-axis partials where the snapshot supports them
-            //     (shard-aligned plans over an all-usable segment
-            //     catalog), one fused session scan for everything else.
-            //     Every miss rode the same branch, so each one's
-            //     scan-stage sample is the whole branch's elapsed time
-            //     (keeping the count == cache_misses invariant), like
-            //     `exec_micros` in `RequestTimings`.
-            let scan_started = Instant::now();
-            let session_misses: Vec<usize> = match snapshot.segment_ranges {
-                Some(ranges) => run_segment_partial_batch(
-                    shared,
-                    source,
-                    generations,
-                    ranges,
-                    &unique,
-                    &rep_trace,
-                    &misses,
-                    &mut results,
-                    &mut scan_details,
-                ),
-                None => misses.clone(),
-            };
-            if !session_misses.is_empty() {
-                let to_run: Vec<Query> =
-                    session_misses.iter().map(|&i| unique[i].clone()).collect();
-                let session =
-                    QuerySession::new(source).with_scan_histogram(&shared.telemetry.session_scan);
-                match session.run(&to_run) {
-                    Ok(scanned) => {
-                        let mut cache = lock(&shared.cache);
-                        for (&index, result) in session_misses.iter().zip(scanned) {
-                            cache.insert(unique[index].clone(), generations, result.clone());
-                            results[index] = Some(Ok(result));
-                        }
-                    }
-                    Err(_) => {
-                        // Unreachable in practice: every query was
-                        // validated at submit time and the trial count
-                        // never changes.  Fall back to per-query execution
-                        // so each request still gets its own reply (a
-                        // batch-wide error must never take out neighbours).
-                        for &index in &session_misses {
-                            results[index] = Some(
-                                catrisk_riskquery::execute(source, &unique[index])
-                                    .map_err(|err| ServeError::InvalidQuery(err.to_string())),
-                            );
-                        }
-                    }
-                }
-            }
-            let scan_micros = scan_started.elapsed().as_micros() as u64;
-            for &index in &misses {
-                shared
-                    .telemetry
-                    .scan
-                    .record_with_exemplar(scan_micros, rep_trace[index]);
-                if rep_trace[index] != 0 {
-                    match &mut scan_details[index] {
-                        // A segment-partial miss already has its detail;
-                        // stamp it with the branch's measured elapsed.
-                        Some(detail) => detail.micros = scan_micros,
-                        // Attribution replans the query — pushdown only,
-                        // no loss data — and is paid only for traced
-                        // misses.
-                        None => {
-                            scan_details[index] = Some(ScanDetail {
-                                micros: scan_micros,
-                                attribution: QueryPlan::new(source, &unique[index])
-                                    .ok()
-                                    .map(|plan| plan.attribution()),
-                                partial_hits: 0,
-                                partial_misses: 0,
-                                children: Vec::new(),
-                            });
-                        }
-                    }
-                }
-            }
         }
         results
             .into_iter()
@@ -804,19 +718,13 @@ fn execute_batch<P: SourceProvider>(shared: &Shared<P>, batch: Vec<Pending>) {
             );
             if let Some(detail) = detail {
                 let scan_start = exec_span.next_child_start();
-                let mut scan_span = TraceSpan::new("scan", scan_start, detail.micros);
-                if let Some(attribution) = detail.attribution {
-                    scan_span = scan_span
-                        .attr("segments", attribution.segments as u64)
-                        .attr("trials", attribution.trials as u64)
-                        .attr("groups", attribution.groups as u64)
-                        .attr("bytes", attribution.bytes as u64);
-                }
-                if detail.partial_hits + detail.partial_misses > 0 {
-                    scan_span = scan_span
-                        .attr("partial_hits", detail.partial_hits)
-                        .attr("partial_misses", detail.partial_misses);
-                }
+                let mut scan_span = TraceSpan::new("scan", scan_start, detail.micros)
+                    .attr("segments", detail.attribution.segments as u64)
+                    .attr("trials", detail.attribution.trials as u64)
+                    .attr("groups", detail.attribution.groups as u64)
+                    .attr("bytes", detail.attribution.bytes as u64)
+                    .attr("partial_hits", detail.partial_hits)
+                    .attr("partial_misses", detail.partial_misses);
                 for child in &detail.children {
                     scan_span.push_child(child.shifted(scan_start));
                 }
@@ -854,104 +762,78 @@ fn execute_batch<P: SourceProvider>(shared: &Shared<P>, batch: Vec<Pending>) {
     }
 }
 
-/// One result-cache miss mid-flight through a partial-cache planner:
-/// its plan, the per-shard partial slots being filled, its cache
-/// traffic, and (when traced) the child spans accumulated so far.
-struct PartialMiss {
-    /// Index into the batch's `unique` queries.
-    index: usize,
+/// The first traced id among `ids` (0 when none is): the exemplar stamped
+/// on a shared stage sample.
+fn first_traced(mut ids: impl Iterator<Item = u64>) -> u64 {
+    ids.find(|&id| id != 0).unwrap_or(0)
+}
+
+/// One result-cache-missing scan spec mid-flight through [`run_grid`]:
+/// the queries sharing it, its plan and cells, the cell partials being
+/// filled, its cell-cache traffic, and (when a member is traced) the
+/// child spans accumulated so far.
+struct SpecMiss {
+    /// Indices into the batch's `unique` queries of the spec's members.
+    members: Vec<usize>,
     plan: QueryPlan,
-    /// One slot per shard, in shard order; `None` until probed or
-    /// freshly scanned.
+    cells: Vec<Cell>,
+    /// Segment cells per trial window — what [`combine`] chunks by.
+    segment_cells: usize,
+    /// The cell-cache key; `None` for a single-cell plan, which skips the
+    /// cell cache (its key would carry exactly the result cache's
+    /// information, at twice the memory).
+    key: Option<SpecKey>,
+    /// One slot per cell, in cell order; `None` until probed or scanned.
     parts: Vec<Option<Arc<TrialPartial>>>,
     hits: u64,
-    rescans: u64,
-    /// Traced members' `scan_shard` / `stitch` child spans, start
-    /// offsets packed sequentially relative to the scan stage's start.
+    /// The first traced member's id (0 when none): the exemplar of the
+    /// spec's stage samples, and the switch for its child spans.
+    trace: u64,
+    /// `scan_shard` / `stitch` child spans, start offsets packed
+    /// sequentially relative to the scan stage's start.
     children: Vec<TraceSpan>,
     next_start: u64,
 }
 
-impl PartialMiss {
-    fn new(index: usize, plan: QueryPlan, shards: usize) -> Self {
-        Self {
-            index,
-            plan,
-            parts: vec![None; shards],
-            hits: 0,
-            rescans: 0,
-            children: Vec::new(),
-            next_start: 0,
-        }
-    }
-
-    fn count_probe(&mut self) {
-        self.hits = self.parts.iter().filter(|part| part.is_some()).count() as u64;
-        self.rescans = self.parts.len() as u64 - self.hits;
+impl SpecMiss {
+    /// The plan cell `ci` scans: the cell's own restriction, or the
+    /// spec's plan when the cell spans every segment.
+    fn cell_plan(&self, ci: usize) -> &QueryPlan {
+        self.cells[ci].plan.as_ref().unwrap_or(&self.plan)
     }
 }
 
-/// Groups the missing `(miss, shard)` pairs of one shard by scan window,
-/// in first-appearance (deterministic) order: every member of a group
-/// shares one fused scan of that window.
-fn group_missing_by_window(
-    states: &[PartialMiss],
-    shard: usize,
-    window_of: impl Fn(&PartialMiss) -> (usize, usize),
-) -> Vec<((usize, usize), Vec<usize>)> {
-    let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
-    for (slot, state) in states.iter().enumerate() {
-        if state.parts[shard].is_none() {
-            let window = window_of(state);
-            match groups.iter_mut().find(|(existing, _)| *existing == window) {
-                Some((_, members)) => members.push(slot),
-                None => groups.push((window, vec![slot])),
-            }
-        }
-    }
-    groups
-}
-
-/// The first traced member of a group (0 when none): the exemplar id
-/// stamped on the group's `scan_shard` histogram sample.
-fn group_exemplar(states: &[PartialMiss], members: &[usize], rep_trace: &[u64]) -> u64 {
-    members
-        .iter()
-        .map(|&slot| rep_trace[states[slot].index])
-        .find(|&id| id != 0)
-        .unwrap_or(0)
-}
-
-/// Answers a batch's result-cache misses over a trial-sharded snapshot
-/// from per-shard partial aggregates: cached partials are reused for
-/// every shard whose generation (and the union's segment prefix) is
-/// unchanged, the remaining `(query, shard)` pairs are grouped by
-/// `(shard, clipped window)` and each group is rescanned by **one**
-/// fused scan, and each query's parts stitch through the exact
-/// adjacent-window monoid — bit-identical to one fused scan of the whole
-/// axis.  The number of `scan_shard` samples (and `fused_partial_scans`
-/// bumps) is therefore the number of distinct windows the batch touched,
-/// not `queries × windows`.
+/// The one way a result-cache miss is answered, on every topology: the
+/// snapshot is a grid of (segment-range × trial-window) cells — 1×1 for
+/// a flat store — and the batch's misses go
 ///
-/// `windows[j]` corresponds to `generations[j]` by the
-/// [`SourceSnapshot`](crate::source::SourceSnapshot) contract.  Each
-/// query's own trial filter clips each shard's window (clamping is
-/// monotone, so the clipped windows stay adjacent and shards outside the
-/// filter contribute exact zero-trial partials); queries whose filters
-/// clip a shard differently land in different groups.
+/// 1. **plan**: grouped by scan spec, planned once per spec, each plan
+///    cut into its cells ([`plan_cells`]);
+/// 2. **probe**: multi-cell specs look their cells up in the cell cache
+///    (a cached window is verified against the cell's, so a mismatch is
+///    a miss, never a wrong combine);
+/// 3. **scan**: the still-missing `(spec, cell)` pairs are grouped by
+///    what they scan, and each group rides **one** fused scan — with no
+///    cache lock held (scans are the expensive part and other workers
+///    may be probing);
+/// 4. **publish**: each group's fresh partials of multi-cell specs enter
+///    the cell cache — the same allocations the combine reads, no copy;
+/// 5. **combine + finalise**: once per spec, every member query
+///    finalised from the shared loss vectors, results published to the
+///    result cache.
 ///
-/// Every miss records one scan-stage sample carrying the whole phase's
-/// elapsed time (all misses rode the same pass), keeping the scan
-/// histogram's count equal to `cache_misses`.  Traced members' child
-/// spans carry their group's measured duration — the same clock read the
-/// `scan_shard` histogram consumed — so a trace's `scan_shard` child
-/// count still equals that query's contribution to `partial_misses`.
-#[allow(clippy::too_many_arguments)]
-fn run_trial_partial_batch<P: SourceProvider>(
+/// Count contracts (OBSERVABILITY.md §3.1): every `(spec, cell)` pair is
+/// one `partial_hits` or one `partial_misses`; every fused scan is one
+/// `scan_shard` sample and one `fused_partial_scans`; every answered
+/// miss is one `stitch` sample carrying its spec's combine + finalise
+/// time; every miss (plan failures included) is one scan-stage sample
+/// carrying the whole phase's elapsed time, since all misses rode the
+/// same pass.  A traced member's span tree gets its spec's children, so
+/// its `scan_shard` count equals the spec's contribution to
+/// `partial_misses`.
+fn run_grid<P: SourceProvider>(
     shared: &Shared<P>,
-    source: &dyn SegmentSource,
-    generations: &[u64],
-    windows: &[(usize, usize)],
+    snapshot: &SourceSnapshot<'_>,
     unique: &[Query],
     rep_trace: &[u64],
     misses: &[usize],
@@ -959,140 +841,147 @@ fn run_trial_partial_batch<P: SourceProvider>(
     scan_details: &mut [Option<ScanDetail>],
 ) {
     let phase_started = Instant::now();
-    let num_segments = source.num_segments();
-    let mut states: Vec<PartialMiss> = Vec::with_capacity(misses.len());
-    for &index in misses {
-        match QueryPlan::new(source, &unique[index]) {
-            Ok(plan) => states.push(PartialMiss::new(index, plan, windows.len())),
-            Err(err) => results[index] = Some(Err(ServeError::InvalidQuery(err.to_string()))),
+    let (source, generations) = (snapshot.source, snapshot.generations);
+
+    // 1. Plan.
+    let mut specs: Vec<SpecMiss> = Vec::new();
+    let by_spec = group_by_key(misses.iter().map(|&i| (unique[i].scan_spec(), i)));
+    for (_, members) in by_spec {
+        let query = &unique[members[0]];
+        match QueryPlan::new(source, query) {
+            Ok(plan) => {
+                let (cells, segment_cells) =
+                    plan_cells(&plan, snapshot.grid, source.num_segments());
+                specs.push(SpecMiss {
+                    trace: first_traced(members.iter().map(|&i| rep_trace[i])),
+                    key: (cells.len() > 1).then(|| (query.filter.clone(), query.group_by.clone())),
+                    parts: vec![None; cells.len()],
+                    members,
+                    plan,
+                    cells,
+                    segment_cells,
+                    hits: 0,
+                    children: Vec::new(),
+                    next_start: 0,
+                });
+            }
+            // Unreachable in practice — every query was validated at
+            // submit time and the trial count never shrinks — but each
+            // member still gets its own typed reply.
+            Err(err) => {
+                for index in members {
+                    results[index] = Some(Err(ServeError::InvalidQuery(err.to_string())));
+                }
+            }
         }
     }
-    let clip_of = |plan: &QueryPlan, (start, end): (usize, usize)| {
-        (
-            start.clamp(plan.trial_start, plan.trial_end),
-            end.clamp(plan.trial_start, plan.trial_end),
-        )
-    };
 
-    // Phase 1: probe every (miss, shard) pair under one short lock.
+    // 2. Probe, under one short lock.
+    let stamp = |cell: &Cell| (generations[cell.slot], cell.segments.1 - cell.segments.0);
     {
         let mut partials = lock(&shared.partials);
-        for state in &mut states {
-            for (shard, &window) in windows.iter().enumerate() {
-                let clip = clip_of(&state.plan, window);
-                state.parts[shard] = partials
-                    .get(&unique[state.index], shard, generations[shard], num_segments)
-                    // The cached window is derived from the same fixed
-                    // shard windows and query, but verify rather than
-                    // assume — a mismatch is a miss, never a wrong stitch.
-                    .filter(|partial| partial.window == clip);
+        for spec in &mut specs {
+            let Some(key) = &spec.key else { continue };
+            for (part, cell) in spec.parts.iter_mut().zip(&spec.cells) {
+                *part = partials
+                    .get(key, cell.slot, stamp(cell))
+                    .filter(|partial| partial.window == cell.window);
             }
-            state.count_probe();
+            spec.hits = spec.parts.iter().flatten().count() as u64;
         }
     }
-    shared
-        .counters
-        .partial_hits
-        .add(states.iter().map(|state| state.hits).sum());
-    shared
-        .counters
-        .partial_misses
-        .add(states.iter().map(|state| state.rescans).sum());
+    let hits: u64 = specs.iter().map(|spec| spec.hits).sum();
+    let probed: u64 = specs.iter().map(|spec| spec.cells.len() as u64).sum();
+    shared.counters.partial_hits.add(hits);
+    shared.counters.partial_misses.add(probed - hits);
 
-    // Phase 2: one fused scan per (shard, clipped window) the batch
-    // misses (no cache lock held — scans are the expensive part and
-    // other workers may be probing).
-    let mut scanned: Vec<(usize, usize)> = Vec::new();
-    for shard in 0..windows.len() {
-        let groups =
-            group_missing_by_window(&states, shard, |state| clip_of(&state.plan, windows[shard]));
-        for ((start, end), members) in groups {
-            let exemplar = group_exemplar(&states, &members, rep_trace);
-            let (fresh, group_micros) = {
-                let plans: Vec<&QueryPlan> =
-                    members.iter().map(|&slot| &states[slot].plan).collect();
-                // One shard-scan sample per fused scan, so the
-                // histogram's count always equals `fused_partial_scans`.
-                let shard_scan = Span::enter(&shared.telemetry.scan_shard);
-                let fresh = scan_trial_partials_fused(source, &plans, start, end);
-                (fresh, shard_scan.finish_with_exemplar(exemplar))
-            };
-            shared.counters.fused_partial_scans.inc();
-            for (&slot, partial) in members.iter().zip(fresh) {
-                let state = &mut states[slot];
-                if rep_trace[state.index] != 0 {
-                    let attribution = state.plan.attribution_for_window(start, end);
-                    state.children.push(
-                        TraceSpan::new("scan_shard", state.next_start, group_micros)
-                            .attr("shard", shard as u64)
-                            .attr("window_start", start as u64)
-                            .attr("window_end", end as u64)
-                            .attr("segments", attribution.segments as u64)
-                            .attr("bytes", attribution.bytes as u64),
-                    );
-                    state.next_start += group_micros;
-                }
-                state.parts[shard] = Some(Arc::new(partial));
-                scanned.push((slot, shard));
-            }
-        }
-    }
-
-    // Phase 3: publish the fresh partials — the same allocations the
-    // stitches below read, no copy.
-    if !scanned.is_empty() {
+    // 3. Scan: one fused pass per distinct (segment range, window).
+    let missing = specs.iter().enumerate().flat_map(|(si, spec)| {
+        let unfilled = spec
+            .cells
+            .iter()
+            .enumerate()
+            .filter(|(ci, _)| spec.parts[*ci].is_none());
+        unfilled.map(move |(ci, cell)| ((cell.segments, cell.window), (si, ci)))
+    });
+    for ((_, (start, end)), members) in group_by_key(missing) {
+        let exemplar = first_traced(members.iter().map(|&(si, _)| specs[si].trace));
+        let (fresh, micros) = {
+            let plans: Vec<&QueryPlan> = members
+                .iter()
+                .map(|&(si, ci)| specs[si].cell_plan(ci))
+                .collect();
+            let cell_scan = Span::enter(&shared.telemetry.scan_shard);
+            let fresh = scan_trial_partials_fused(source, &plans, start, end);
+            (fresh, cell_scan.finish_with_exemplar(exemplar))
+        };
+        shared.counters.fused_partial_scans.inc();
+        // 4. Publish the fresh partials of multi-cell specs — the same
+        //    allocations the combine below reads, no copy.
         let mut partials = lock(&shared.partials);
-        for &(slot, shard) in &scanned {
-            let state = &states[slot];
-            partials.insert(
-                &unique[state.index],
-                shard,
-                generations[shard],
-                num_segments,
-                Arc::clone(state.parts[shard].as_ref().expect("scanned")),
-            );
+        for ((si, ci), partial) in members.into_iter().zip(fresh) {
+            let spec = &mut specs[si];
+            if spec.trace != 0 {
+                let attribution = spec.cell_plan(ci).attribution_for_window(start, end);
+                spec.children.push(
+                    TraceSpan::new("scan_shard", spec.next_start, micros)
+                        .attr("shard", spec.cells[ci].slot as u64)
+                        .attr("window_start", start as u64)
+                        .attr("window_end", end as u64)
+                        .attr("segments", attribution.segments as u64)
+                        .attr("bytes", attribution.bytes as u64),
+                );
+                spec.next_start += micros;
+            }
+            let partial = Arc::new(partial);
+            if let Some(key) = &spec.key {
+                let cell = &spec.cells[ci];
+                partials.insert(key, cell.slot, stamp(cell), Arc::clone(&partial));
+            }
+            spec.parts[ci] = Some(partial);
         }
     }
 
-    // Phase 4: stitch each miss from its (now complete) parts.
-    for state in &mut states {
-        let trace_id = rep_trace[state.index];
-        let (stitched, stitch_micros) = {
-            let parts: Vec<&TrialPartial> = state
+    // 5. Combine + finalise, once per spec.
+    for spec in &mut specs {
+        let stitch_started = Instant::now();
+        let finals = {
+            let parts: Vec<&TrialPartial> = spec
                 .parts
                 .iter()
-                .map(|part| part.as_deref().expect("filled"))
+                .map(|part| part.as_deref().expect("probed or scanned"))
                 .collect();
-            let stitch = Span::enter(&shared.telemetry.stitch);
-            let stitched = combine_trial_partial_refs(&unique[state.index], &parts);
-            (stitched, stitch.finish_with_exemplar(trace_id))
+            let aggregate = match combine(&spec.plan, &parts, spec.segment_cells) {
+                Ok(aggregate) => aggregate,
+                Err(_) => Cow::Owned(self_heal(shared, source, spec)),
+            };
+            finalize(
+                spec.members.iter().map(|&index| &unique[index]),
+                &spec.plan.keys,
+                &spec.plan.segment_counts(),
+                spec.plan.num_trials(),
+                &aggregate,
+            )
         };
-        if trace_id != 0 {
-            state.children.push(
-                TraceSpan::new("stitch", state.next_start, stitch_micros)
-                    .attr("parts", windows.len() as u64),
+        let stitch_micros = stitch_started.elapsed().as_micros() as u64;
+        if spec.trace != 0 {
+            spec.children.push(
+                TraceSpan::new("stitch", spec.next_start, stitch_micros)
+                    .attr("parts", spec.cells.len() as u64),
             );
-            state.next_start += stitch_micros;
         }
-        let outcome = match stitched {
-            Ok(result) => Ok(result),
-            Err(_) => partial_fallback(
-                shared,
-                source,
-                &unique[state.index],
-                windows.len(),
-                state.hits,
-                state.rescans,
-            ),
-        };
-        if let Ok(result) = &outcome {
-            lock(&shared.cache).insert(unique[state.index].clone(), generations, result.clone());
+        let mut cache = lock(&shared.cache);
+        for (&index, result) in spec.members.iter().zip(finals) {
+            shared
+                .telemetry
+                .stitch
+                .record_with_exemplar(stitch_micros, rep_trace[index]);
+            cache.insert(unique[index].clone(), generations, result.clone());
+            results[index] = Some(Ok(result));
         }
-        results[state.index] = Some(outcome);
     }
 
-    // Phase 5: one scan-stage sample per miss (plan failures included),
-    // each carrying the whole phase's elapsed time.
+    // One scan-stage sample per miss, each carrying the whole phase.
     let phase_micros = phase_started.elapsed().as_micros() as u64;
     for &index in misses {
         shared
@@ -1100,236 +989,53 @@ fn run_trial_partial_batch<P: SourceProvider>(
             .scan
             .record_with_exemplar(phase_micros, rep_trace[index]);
     }
-    for state in states {
-        if rep_trace[state.index] != 0 {
-            scan_details[state.index] = Some(ScanDetail {
+    for spec in &specs {
+        for &index in spec.members.iter().filter(|&&index| rep_trace[index] != 0) {
+            scan_details[index] = Some(ScanDetail {
                 micros: phase_micros,
-                attribution: Some(state.plan.attribution()),
-                partial_hits: state.hits,
-                partial_misses: state.rescans,
-                children: state.children,
+                attribution: spec.plan.attribution(),
+                partial_hits: spec.hits,
+                partial_misses: spec.cells.len() as u64 - spec.hits,
+                children: spec.children.clone(),
             });
         }
     }
 }
 
-/// Answers the shard-aligned subset of a batch's misses over a
-/// multi-shard **segment**-axis snapshot from per-segment-shard partial
-/// aggregates, and returns the misses it did *not* answer (unaligned
-/// plans, plan failures) for the caller's fused session scan.
-///
-/// A plan is eligible when [`plan_is_shard_aligned`] holds — every
-/// group's segments live in one shard — which is exactly the condition
-/// under which summing per-shard partials in shard order reproduces the
-/// flat scan bit-for-bit (each group receives one non-identity
-/// contribution; identity vectors are bitwise no-ops by the kernel's
-/// ±0.0 normalisation, ARCHITECTURE.md §3).  Cached partials are keyed
-/// `(query, shard)` and stamped with that shard's generation and its own
-/// segment count, so a single-store commit invalidates — and rescans —
-/// exactly one shard.  Missing pairs are grouped by `(shard, trial
-/// window)` and each group runs **one** fused scan of the
-/// shard-restricted plans; the per-query loss clip is applied after the
-/// combine, inside [`combine_segment_partials`].
-///
-/// Counter and span contracts match the trial path: one
-/// `partial_hits`/`partial_misses` bump per probed pair, one
-/// `scan_shard` sample and one `fused_partial_scans` bump per fused
-/// scan, one `stitch` sample per answered query.  The caller records the
-/// scan-stage samples (whole-branch elapsed) for every miss, including
-/// the ones this path answered, and stamps `ScanDetail.micros`.
-#[allow(clippy::too_many_arguments)]
-fn run_segment_partial_batch<P: SourceProvider>(
+/// The self-heal path after a failed combine: cached cells that cannot
+/// combine disagree with each other, so none of them can be trusted —
+/// unreachable while the cache key contract holds, but a valid query
+/// must never error over cache state.  Purges the spec's cells so the
+/// next execution rescans cleanly, and answers this one by rescanning
+/// the plan as one cell spanning the union, through the reference scan.
+fn self_heal<P: SourceProvider>(
     shared: &Shared<P>,
     source: &dyn SegmentSource,
-    generations: &[u64],
-    ranges: &[(usize, usize)],
-    unique: &[Query],
-    rep_trace: &[u64],
-    misses: &[usize],
-    results: &mut [Option<Result<QueryResult, ServeError>>],
-    scan_details: &mut [Option<ScanDetail>],
-) -> Vec<usize> {
-    let mut session_misses: Vec<usize> = Vec::new();
-    let mut states: Vec<PartialMiss> = Vec::new();
-    for &index in misses {
-        match QueryPlan::new(source, &unique[index]) {
-            Ok(plan) if plan_is_shard_aligned(&plan, ranges) => {
-                states.push(PartialMiss::new(index, plan, ranges.len()));
-            }
-            // Unaligned plans (a group spans shards: shard-ordered
-            // summation would change the float fold) and plan failures
-            // take the fused session path, which replans and reports
-            // per query.
-            _ => session_misses.push(index),
-        }
-    }
-    if states.is_empty() {
-        return session_misses;
-    }
-
-    // Phase 1: probe every (miss, shard) pair under one short lock.
-    // The segment-count half of the key is the shard's own count, and
-    // the cached window must equal the plan's whole trial window (the
-    // loss clip is applied after the combine, so partials are
-    // clip-independent).
-    {
-        let mut partials = lock(&shared.partials);
-        for state in &mut states {
-            let window = (state.plan.trial_start, state.plan.trial_end);
-            for (shard, &(lo, hi)) in ranges.iter().enumerate() {
-                state.parts[shard] = partials
-                    .get(&unique[state.index], shard, generations[shard], hi - lo)
-                    .filter(|partial| partial.window == window);
-            }
-            state.count_probe();
-        }
-    }
-    shared
-        .counters
-        .partial_hits
-        .add(states.iter().map(|state| state.hits).sum());
-    shared
-        .counters
-        .partial_misses
-        .add(states.iter().map(|state| state.rescans).sum());
-
-    // Phase 2: one fused scan per (shard, trial window) the batch
-    // misses, over the shard-restricted plans.
-    let mut scanned: Vec<(usize, usize)> = Vec::new();
-    for (shard, &(lo, hi)) in ranges.iter().enumerate() {
-        let groups = group_missing_by_window(&states, shard, |state| {
-            (state.plan.trial_start, state.plan.trial_end)
-        });
-        for ((start, end), members) in groups {
-            let exemplar = group_exemplar(&states, &members, rep_trace);
-            let restricted: Vec<QueryPlan> = members
-                .iter()
-                .map(|&slot| restrict_plan_to_segments(&states[slot].plan, lo, hi))
-                .collect();
-            let (fresh, group_micros) = {
-                let plans: Vec<&QueryPlan> = restricted.iter().collect();
-                let shard_scan = Span::enter(&shared.telemetry.scan_shard);
-                let fresh = scan_trial_partials_fused(source, &plans, start, end);
-                (fresh, shard_scan.finish_with_exemplar(exemplar))
-            };
-            shared.counters.fused_partial_scans.inc();
-            for ((&slot, partial), plan) in members.iter().zip(fresh).zip(&restricted) {
-                let state = &mut states[slot];
-                if rep_trace[state.index] != 0 {
-                    let attribution = plan.attribution_for_window(start, end);
-                    state.children.push(
-                        TraceSpan::new("scan_shard", state.next_start, group_micros)
-                            .attr("shard", shard as u64)
-                            .attr("window_start", start as u64)
-                            .attr("window_end", end as u64)
-                            .attr("segments", attribution.segments as u64)
-                            .attr("bytes", attribution.bytes as u64),
-                    );
-                    state.next_start += group_micros;
-                }
-                state.parts[shard] = Some(Arc::new(partial));
-                scanned.push((slot, shard));
-            }
-        }
-    }
-
-    // Phase 3: publish the fresh partials.
-    if !scanned.is_empty() {
-        let mut partials = lock(&shared.partials);
-        for &(slot, shard) in &scanned {
-            let (lo, hi) = ranges[shard];
-            let state = &states[slot];
-            partials.insert(
-                &unique[state.index],
-                shard,
-                generations[shard],
-                hi - lo,
-                Arc::clone(state.parts[shard].as_ref().expect("scanned")),
-            );
-        }
-    }
-
-    // Phase 4: combine each miss's per-shard partials in shard order.
-    for state in &mut states {
-        let trace_id = rep_trace[state.index];
-        let (combined, stitch_micros) = {
-            let parts: Vec<&TrialPartial> = state
-                .parts
-                .iter()
-                .map(|part| part.as_deref().expect("filled"))
-                .collect();
-            let stitch = Span::enter(&shared.telemetry.stitch);
-            let combined = combine_segment_partials(&unique[state.index], &state.plan, &parts);
-            (combined, stitch.finish_with_exemplar(trace_id))
-        };
-        if trace_id != 0 {
-            state.children.push(
-                TraceSpan::new("stitch", state.next_start, stitch_micros)
-                    .attr("parts", ranges.len() as u64),
-            );
-            state.next_start += stitch_micros;
-        }
-        let outcome = match combined {
-            Ok(result) => Ok(result),
-            Err(_) => partial_fallback(
-                shared,
-                source,
-                &unique[state.index],
-                ranges.len(),
-                state.hits,
-                state.rescans,
-            ),
-        };
-        if let Ok(result) = &outcome {
-            lock(&shared.cache).insert(unique[state.index].clone(), generations, result.clone());
-        }
-        results[state.index] = Some(outcome);
-    }
-
-    // The caller records scan-stage samples and stamps `micros` for
-    // every miss; this path only pre-fills the traced details it owns.
-    for state in states {
-        if rep_trace[state.index] != 0 {
-            scan_details[state.index] = Some(ScanDetail {
-                micros: 0,
-                attribution: Some(state.plan.attribution()),
-                partial_hits: state.hits,
-                partial_misses: state.rescans,
-                children: state.children,
-            });
-        }
-    }
-    session_misses
-}
-
-/// The self-heal path after a failed stitch/combine: cached parts that
-/// cannot combine disagree with each other, so none of them can be
-/// trusted — unreachable while the cache key contract holds, but a
-/// valid query must never error over cache state.  Purges the
-/// untrustworthy entries so the next execution rescans cleanly, and
-/// answers this one with a full fresh scan.
-fn partial_fallback<P: SourceProvider>(
-    shared: &Shared<P>,
-    source: &dyn SegmentSource,
-    query: &Query,
-    shards: usize,
-    hits: u64,
-    rescans: u64,
-) -> Result<QueryResult, ServeError> {
+    spec: &SpecMiss,
+) -> PartialAggregate {
+    let cells = spec.cells.len();
     shared.telemetry.recorder.record(
         "stitch-fallback",
         [
-            ("shards", EventValue::from(shards)),
-            ("cached_parts", EventValue::from(hits)),
-            ("rescanned", EventValue::from(rescans)),
+            ("shards", EventValue::from(cells)),
+            ("cached_parts", EventValue::from(spec.hits)),
+            ("rescanned", EventValue::from(cells as u64 - spec.hits)),
         ],
     );
-    lock(&shared.partials).purge(query, shards);
+    if let Some(key) = &spec.key {
+        lock(&shared.partials).purge(key);
+    }
     shared
         .telemetry
         .recorder
-        .record("cache-purge", [("shards", EventValue::from(shards))]);
-    catrisk_riskquery::execute(source, query).map_err(|err| ServeError::InvalidQuery(err.to_string()))
+        .record("cache-purge", [("shards", EventValue::from(cells))]);
+    scan_trial_partial(
+        source,
+        &spec.plan,
+        spec.plan.trial_start,
+        spec.plan.trial_end,
+    )
+    .aggregate
 }
 
 #[cfg(test)]
@@ -1514,6 +1220,127 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.cache_misses, 3);
+    }
+
+    #[test]
+    fn flat_misses_never_enter_the_cell_cache() {
+        let store = Arc::new(random_store(128, 8, 5));
+        let server = Server::with_defaults(Arc::clone(&store));
+        let queries = sample_queries();
+        let misses = queries.len() as u64;
+        for query in &queries {
+            let expected = catrisk_riskquery::execute(&*store, query).unwrap();
+            assert_eq!(server.query(query.clone()).unwrap().result, expected);
+        }
+        // Each distinct miss is one single-cell plan: probed (a miss),
+        // scanned by its own fused pass, and never cached per cell — its
+        // key would carry exactly the result cache's information.
+        let stats = server.stats();
+        assert_eq!(stats.cache_misses, misses, "{stats:?}");
+        assert_eq!(stats.partial_hits, 0, "{stats:?}");
+        assert_eq!(stats.partial_misses, misses, "{stats:?}");
+        assert_eq!(stats.fused_partial_scans, misses, "{stats:?}");
+        assert_eq!(lock(&server.shared.partials).len(), 0);
+        assert_eq!(lock(&server.shared.cache).len(), queries.len());
+    }
+
+    /// A flat store presented as a two-window trial grid: the executor
+    /// sees only the grid, so the multi-cell path needs no shard files.
+    struct TwoWindows(Arc<ResultStore>);
+
+    impl SourceProvider for TwoWindows {
+        fn num_trials(&self) -> usize {
+            self.0.num_trials()
+        }
+
+        fn num_segments(&self) -> usize {
+            self.0.num_segments()
+        }
+
+        fn with_source<R>(&self, f: impl FnOnce(SourceSnapshot<'_>) -> R) -> R {
+            let trials = self.0.num_trials();
+            let windows = [(0, trials / 2), (trials / 2, trials)];
+            f(SourceSnapshot {
+                source: &*self.0,
+                generations: &[0, 0],
+                grid: catrisk_riskquery::Grid {
+                    trial_windows: &windows,
+                    ..Default::default()
+                },
+            })
+        }
+    }
+
+    #[test]
+    fn poisoned_cell_self_heals_through_a_spanning_rescan() {
+        let store = Arc::new(random_store(64, 8, 11));
+        let server = Server::with_defaults(TwoWindows(Arc::clone(&store)));
+        let by_region = |aggregate| {
+            QueryBuilder::new()
+                .group_by(Dimension::Region)
+                .aggregate(aggregate)
+                .build()
+                .unwrap()
+        };
+        let first = by_region(Aggregate::Mean);
+        let key: SpecKey = (first.filter.clone(), first.group_by.clone());
+        server.query(first).unwrap();
+        assert_eq!(lock(&server.shared.partials).len(), 2, "one entry per cell");
+
+        // Poison cell 0 with a partial that passes every cache check (its
+        // stamp and window are right) but is keyed for another grouping,
+        // so it cannot combine with cell 1.
+        let by_lob = QueryBuilder::new()
+            .group_by(Dimension::Lob)
+            .aggregate(Aggregate::Mean)
+            .build()
+            .unwrap();
+        let plan = QueryPlan::new(&*store, &by_lob).unwrap();
+        let poison = scan_trial_partial(&*store, &plan, 0, 32);
+        lock(&server.shared.partials).insert(&key, 0, (0, 8), Arc::new(poison));
+
+        // Same spec, new aggregate: a result-cache miss that hits both
+        // cells, fails to combine, and must still answer exactly.
+        let second = by_region(Aggregate::Tvar { level: 0.9 });
+        let healed = server.query(second.clone()).unwrap().result;
+        assert_eq!(
+            healed,
+            catrisk_riskquery::execute(&*store, &second).unwrap()
+        );
+        assert_eq!(server.stats().partial_hits, 2);
+
+        let events = server.recorder_dump();
+        let of_kind = |kind: &str| events.iter().filter(|e| e.kind == kind).collect::<Vec<_>>();
+        let fallback = of_kind("stitch-fallback");
+        assert_eq!(fallback.len(), 1, "{events:?}");
+        let fields: Vec<(&str, &EventValue)> = fallback[0]
+            .fields
+            .iter()
+            .map(|(name, value)| (name.as_str(), value))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("shards", &EventValue::U64(2)),
+                ("cached_parts", &EventValue::U64(2)),
+                ("rescanned", &EventValue::U64(0)),
+            ]
+        );
+        assert_eq!(of_kind("cache-purge").len(), 1, "{events:?}");
+        assert_eq!(
+            lock(&server.shared.partials).len(),
+            0,
+            "the spec's cells are purged, and the heal publishes nothing"
+        );
+
+        // The next miss of the spec rescans both cells cleanly.
+        let third = by_region(Aggregate::StdDev);
+        assert_eq!(
+            server.query(third.clone()).unwrap().result,
+            catrisk_riskquery::execute(&*store, &third).unwrap()
+        );
+        assert_eq!(lock(&server.shared.partials).len(), 2);
+        assert_eq!(of_kind("stitch-fallback").len(), 1, "no second fallback");
     }
 
     #[test]

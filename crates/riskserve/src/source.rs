@@ -2,9 +2,9 @@
 //!
 //! A [`SourceProvider`] hands every batch a *consistent snapshot* of the
 //! data — a [`SourceSnapshot`] bundling the scannable union, the
-//! generation stamps the caches key on, and (for a trial-sharded
-//! catalog) the per-shard trial windows the partial-aggregate cache
-//! shards its work by.  Two providers exist:
+//! generation stamps the caches key on, and the [`Grid`] that cuts the
+//! union into the (segment-range × trial-window) cells the server scans,
+//! caches and combines by.  Two providers exist:
 //!
 //! * any `Arc<S: SegmentSource>` — the static single-store form (an
 //!   in-memory `ResultStore`, an immutable `StoreReader`): one shard,
@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use catrisk_riskquery::SegmentSource;
+use catrisk_riskquery::{Grid, SegmentSource};
 
 /// One batch's consistent view of the data: the scannable source plus
 /// the cache-keying metadata that was captured under the same snapshot.
@@ -28,26 +28,18 @@ pub struct SourceSnapshot<'a> {
     /// One monotonic stamp per shard, taken under the same snapshot as
     /// `source`: a stamp changes exactly when that shard's visible data
     /// changes, so `(query, generations)` is a sound whole-result cache
-    /// key and `(query, shard, generations[shard])` a sound per-shard
-    /// partial cache key.
+    /// key and `(scan spec, cell, generations[cell.slot])` a sound
+    /// per-cell partial cache key.
     pub generations: &'a [u64],
-    /// The global trial window `[start, end)` each shard covers, in
-    /// shard order, when the provider serves a **trial**-sharded catalog
-    /// — `None` for a single store or a segment-axis catalog.  Present
-    /// windows partition `[0, source.num_trials())`, and window `j`
+    /// How `source` is cut into cells.  A cut grid has one cell per
+    /// shard — a trial-sharded catalog cuts the trial axis, a
+    /// segment-axis catalog with every shard usable cuts the segment axis
+    /// — and cell `j` ([`Cell::slot`](catrisk_riskquery::Cell::slot))
     /// corresponds to `generations[j]`, which is what lets the server
-    /// cache one [`TrialPartial`](catrisk_riskquery::TrialPartial) per
-    /// `(query, shard)` and rescan only the shards whose stamp moved.
-    pub trial_windows: Option<&'a [(usize, usize)]>,
-    /// The global segment range `[lo, hi)` each shard contributes, in
-    /// shard order, when the provider serves a multi-shard **segment**-axis
-    /// catalog with every shard usable (so range `j` corresponds to
-    /// `generations[j]`) — `None` for a single store, a trial-sharded
-    /// catalog, or a degraded segment catalog.  Present ranges partition
-    /// `[0, source.num_segments())`, which is what lets the server cache
-    /// per-segment-shard partials and, for shard-aligned plans, rescan
-    /// only the shard whose stamp moved.
-    pub segment_ranges: Option<&'a [(usize, usize)]>,
+    /// rescan only the cells whose stamp moved.  A single store, and a
+    /// degraded catalog whose shard indices no longer line up with its
+    /// stamps, are the uncut 1×1 `Grid::default()`.
+    pub grid: Grid<'a>,
 }
 
 /// Storage behind a [`Server`](crate::server::Server): snapshots,
@@ -108,8 +100,7 @@ impl<S: SegmentSource + Send + Sync + 'static> SourceProvider for Arc<S> {
         f(SourceSnapshot {
             source: &**self,
             generations: &[0],
-            trial_windows: None,
-            segment_ranges: None,
+            grid: Grid::default(),
         })
     }
 }

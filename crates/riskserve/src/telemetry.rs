@@ -59,9 +59,6 @@ pub mod stage {
     /// scans + finalize).  This is the value the slow-batch threshold is
     /// compared against.
     pub const BATCH_EXEC: &str = "batch_exec_micros";
-    /// Fused scan passes inside `QuerySession::run`: one sample per trial
-    /// window scanned.
-    pub const SESSION_SCAN: &str = "session_fused_scan_micros";
     /// Store opens: one sample per shard reader opened (or fully
     /// reloaded) by a catalog.
     pub const STORE_OPEN: &str = "store_open_micros";
@@ -93,7 +90,6 @@ pub(crate) struct ServerTelemetry {
     pub stitch: Arc<Histogram>,
     pub finalize: Arc<Histogram>,
     pub batch_exec: Arc<Histogram>,
-    pub session_scan: Arc<Histogram>,
 }
 
 impl ServerTelemetry {
@@ -120,7 +116,6 @@ impl ServerTelemetry {
             stitch: registry.histogram(stage::STITCH),
             finalize: registry.histogram(stage::FINALIZE),
             batch_exec: registry.histogram(stage::BATCH_EXEC),
-            session_scan: registry.histogram(stage::SESSION_SCAN),
             registry,
         }
     }

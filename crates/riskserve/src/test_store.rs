@@ -1,10 +1,16 @@
-//! Shared test fixtures: a random in-memory store and a mixed query batch.
+//! Shared test fixtures: a random in-memory store, the same store cut
+//! into an on-disk catalog along either axis, and a mixed query batch.
+
+use std::path::PathBuf;
 
 use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
 use catrisk_eventgen::peril::{Peril, Region};
 use catrisk_finterms::layer::LayerId;
 use catrisk_riskquery::prelude::*;
+use catrisk_riskstore::{StoreOptions, StoreWriter};
 use catrisk_simkit::rng::RngFactory;
+
+use crate::catalog::ShardAxis;
 
 /// A store of `segments` random YLT segments over `trials` trials, with
 /// all four dimensions populated.
@@ -38,6 +44,44 @@ pub fn random_store(trials: usize, segments: usize, seed: u64) -> ResultStore {
             .unwrap();
     }
     store
+}
+
+/// Cuts `store` into `shards` store files along `axis` — contiguous
+/// segment ranges of the full trial axis, or offset-stamped trial windows
+/// of every segment — so a [`StoreCatalog`](crate::catalog::StoreCatalog)
+/// over the returned paths serves exactly `store`.  Files land in the
+/// temp dir, named by `tag` and the process id; the caller removes them.
+pub fn write_catalog(
+    store: &ResultStore,
+    axis: ShardAxis,
+    shards: usize,
+    tag: &str,
+) -> Vec<PathBuf> {
+    let (segments, trials) = (store.num_segments(), store.num_trials());
+    (0..shards)
+        .map(|shard| {
+            let cut = |total: usize| (shard * total / shards, (shard + 1) * total / shards);
+            let (segment_range, (start, end)) = match axis {
+                ShardAxis::Segment => (cut(segments), (0, trials)),
+                ShardAxis::Trial => ((0, segments), cut(trials)),
+            };
+            let mut path = std::env::temp_dir();
+            path.push(format!("catrisk-{tag}-{}-{shard}.clm", std::process::id()));
+            let options = StoreOptions {
+                trial_offset: start as u64,
+                ..StoreOptions::default()
+            };
+            let mut writer = StoreWriter::create_with(&path, end - start, options).unwrap();
+            for s in segment_range.0..segment_range.1 {
+                let (year, occ) = (store.year_losses(s), store.max_occ_losses(s));
+                writer
+                    .append_segment(*store.meta(s), &year[start..end], &occ[start..end])
+                    .unwrap();
+            }
+            writer.finish().unwrap();
+            path
+        })
+        .collect()
 }
 
 /// A small mixed batch: several scan specs, several metric sets.

@@ -6,8 +6,8 @@
 //!
 //! 1. **Fused ≡ per-query.**  `scan_trial_partials_fused` over a batch
 //!    of plans emits, per plan, the same partial `scan_trial_partial`
-//!    produces alone — the fusion shares the block walk, never the
-//!    arithmetic.
+//!    (the reference, unfused loop) produces alone — the fusion shares
+//!    the block walk, never the arithmetic.
 //! 2. **Stitched ≡ unsharded.**  Combining the per-window partials
 //!    through `combine_trial_partial_refs` reproduces `execute` on the
 //!    unsplit store, across random trial splits.
@@ -31,9 +31,8 @@ use catrisk_finterms::layer::LayerId;
 use catrisk_riskquery::kernel;
 use catrisk_riskquery::prelude::*;
 use catrisk_riskquery::{
-    combine_segment_partials, combine_trial_partial_refs, plan_is_shard_aligned,
-    restrict_plan_to_segments, scan_trial_partial, scan_trial_partials_fused, QueryPlan,
-    TrialPartial,
+    combine, combine_trial_partial_refs, finalize, scan_trial_partial, scan_trial_partials_fused,
+    split_plan_by_segments, QueryPlan, TrialPartial,
 };
 use catrisk_simkit::rng::RngFactory;
 
@@ -83,7 +82,7 @@ fn random_store(trials: usize, segments: usize, seed: u64) -> ResultStore {
 /// The query pool random batches are drawn from: scalar metrics, order
 /// statistics, curves, dimension filters, trial windows, loss ranges,
 /// and two entries that *share* a scan spec (same filter + grouping,
-/// different aggregates) so the fused path's spec dedup is exercised.
+/// different aggregates), whose plans ride the fused pass as duplicates.
 fn query_pool(trials: usize) -> Vec<Query> {
     vec![
         QueryBuilder::new()
@@ -258,28 +257,29 @@ fn minus_zero_store(trials: usize, segments: usize) -> ResultStore {
 }
 
 /// Splits `[0, num_segments)` at `cut` and runs the full segment-axis
-/// combine (restrict → one fused scan of both restricted plans →
-/// `combine_segment_partials`), asserting bit-equality with the flat
-/// `execute` — the exact shape the serving planner runs per query.
+/// combine (split → one fused scan of both restricted plans → `combine`
+/// along segments → `finalize`), asserting bit-equality with the flat
+/// `execute` — the exact shape the serving executor runs per scan spec.
 fn check_segment_combine(store: &ResultStore, query: &Query, cut: usize) {
     let total = store.num_segments();
     let ranges = [(0usize, cut), (cut, total)];
     let plan = QueryPlan::new(store, query).expect("plan");
-    assert!(
-        plan_is_shard_aligned(&plan, &ranges),
-        "test setup must produce a shard-aligned plan"
-    );
-    let restricted: Vec<QueryPlan> = ranges
-        .iter()
-        .map(|&(lo, hi)| restrict_plan_to_segments(&plan, lo, hi))
-        .collect();
+    let restricted =
+        split_plan_by_segments(&plan, &ranges).expect("test setup must produce an aligned plan");
     let plan_refs: Vec<&QueryPlan> = restricted.iter().collect();
     let partials = scan_trial_partials_fused(store, &plan_refs, plan.trial_start, plan.trial_end);
     let part_refs: Vec<&TrialPartial> = partials.iter().collect();
-    let combined = combine_segment_partials(query, &plan, &part_refs).expect("combine");
+    let combined = combine(&plan, &part_refs, ranges.len()).expect("combine");
+    let results = finalize(
+        [query],
+        &plan.keys,
+        &plan.segment_counts(),
+        plan.num_trials(),
+        &combined,
+    );
     assert_eq!(
-        combined,
-        execute(store, query).expect("execute"),
+        results,
+        [execute(store, query).expect("execute")],
         "segment-axis combine diverged from the flat scan"
     );
 }
@@ -316,9 +316,9 @@ fn segment_combine_with_empty_shard_is_bit_identical() {
         .build()
         .unwrap();
     let plan = QueryPlan::new(&store, &query).expect("plan");
-    let empty = restrict_plan_to_segments(&plan, total, total);
+    let split = split_plan_by_segments(&plan, &[(0, total), (total, total)]).expect("aligned");
     assert!(
-        empty.segments.is_empty() && empty.keys.is_empty(),
+        split[1].segments.is_empty() && split[1].keys.is_empty(),
         "an empty range must restrict to an empty plan"
     );
     check_segment_combine(&store, &query, total);

@@ -14,8 +14,11 @@ use proptest::prelude::*;
 
 use catrisk_eventgen::peril::{Peril, Region};
 use catrisk_riskquery::prelude::*;
-use catrisk_riskserve::test_store::random_store;
-use catrisk_riskserve::{ServeError, Server, ServerConfig, Ticket};
+use catrisk_riskquery::{split_plan_by_segments, QueryPlan};
+use catrisk_riskserve::test_store::{random_store, write_catalog};
+use catrisk_riskserve::{
+    ServeError, Server, ServerConfig, ShardAxis, SourceProvider, StoreCatalog, Ticket,
+};
 use catrisk_simkit::rng::RngFactory;
 
 /// Draws `count` random valid queries against a `trials`-trial store:
@@ -293,4 +296,112 @@ fn hammering_a_tiny_queue_loses_nothing() {
     let stats = server.stats();
     assert_eq!(stats.completed, ok);
     assert_eq!(stats.rejected, overloaded);
+}
+
+/// One batch over a segment catalog mixing shard-aligned and unaligned
+/// plans, and queries that share a scan spec but differ in aggregates:
+/// every reply is bit-equal to `execute`, every touched cell is scanned
+/// by exactly one fused scan, and the cell cache holds one entry per
+/// (scan spec, cell) — not per query — which later batches prove by
+/// hitting it with aggregates the server has never seen.
+#[test]
+fn mixed_alignment_batch_over_a_segment_catalog_takes_one_grid_path() {
+    let trials = 80;
+    let store = random_store(trials, 8, 17);
+    let paths = write_catalog(&store, ShardAxis::Segment, 2, "serve-mixed");
+    let catalog = StoreCatalog::open(&paths).unwrap();
+    assert_eq!(catalog.axis(), ShardAxis::Segment);
+    let server = Server::new(
+        catalog,
+        ServerConfig {
+            // One worker and a window far wider than a burst of submits:
+            // each burst below is exactly one batch.
+            batch_window: Duration::from_millis(300),
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let build =
+        |builder: QueryBuilder, aggregate: Aggregate| builder.aggregate(aggregate).build().unwrap();
+    let by_region = || QueryBuilder::new().group_by(Dimension::Region);
+    let by_layer = || QueryBuilder::new().group_by(Dimension::Layer);
+    let windowed = || by_region().trials(10..trials / 2).loss_at_least(1.0e5);
+    let total = QueryBuilder::new;
+    let tvar = Aggregate::Tvar { level: 0.9 };
+
+    // The topology the arithmetic below relies on, from the public
+    // planner: grouped plans are aligned, the ungrouped total is not.
+    let aligned = |query: &Query| {
+        server.provider().with_source(|snapshot| {
+            assert_eq!(snapshot.grid.segment_ranges.len(), 2);
+            let plan = QueryPlan::new(snapshot.source, query).unwrap();
+            split_plan_by_segments(&plan, snapshot.grid.segment_ranges).is_some()
+        })
+    };
+    assert!(aligned(&build(by_region(), Aggregate::Mean)));
+    assert!(aligned(&build(by_layer(), Aggregate::Mean)));
+    assert!(aligned(&build(windowed(), Aggregate::Mean)));
+    assert!(!aligned(&build(total(), Aggregate::Mean)));
+
+    let burst = |queries: Vec<Query>| {
+        let tickets: Vec<Ticket> = queries
+            .iter()
+            .map(|q| server.submit(q.clone()).expect("admitted"))
+            .collect();
+        for (ticket, query) in tickets.into_iter().zip(&queries) {
+            assert_eq!(
+                ticket.wait().expect("served").result,
+                catrisk_riskquery::execute(&store, query).unwrap(),
+                "the grid path diverged from execute for {query:?}"
+            );
+        }
+        server.stats()
+    };
+
+    // Burst 1: four scan specs behind six queries.  Aligned specs have
+    // two cells each (by_region, by_layer and windowed: 6 pairs), the
+    // unaligned total is one cell spanning the union (1 pair).
+    let stats = burst(vec![
+        build(by_region(), Aggregate::Mean),
+        build(by_region(), tvar.clone()),
+        build(by_layer(), Aggregate::Mean),
+        build(windowed(), Aggregate::Mean),
+        build(total(), Aggregate::Mean),
+        build(total(), Aggregate::StdDev),
+    ]);
+    assert_eq!(stats.batches, 1, "{stats:?}");
+    assert_eq!(stats.cache_misses, 6, "{stats:?}");
+    assert_eq!(
+        (stats.partial_hits, stats.partial_misses),
+        (0, 7),
+        "{stats:?}"
+    );
+    // Touched cells: each shard over the whole window (shared by
+    // by_region and by_layer), each shard over the clipped window, and
+    // the spanning cell — one fused scan apiece.
+    assert_eq!(stats.fused_partial_scans, 5, "{stats:?}");
+
+    // Burst 2: never-seen aggregates over cached specs.  A cache keyed
+    // per query would miss all of these; keyed per (spec, cell) the three
+    // aligned specs hit their 6 entries, and only the single-cell total
+    // — which is never cell-cached — rescans.
+    let stats = burst(vec![
+        build(by_region(), Aggregate::StdDev),
+        build(by_layer(), tvar.clone()),
+        build(windowed(), tvar),
+        build(total(), Aggregate::MaxLoss),
+    ]);
+    assert_eq!(stats.batches, 2, "{stats:?}");
+    assert_eq!(stats.cache_misses, 10, "{stats:?}");
+    assert_eq!(
+        (stats.partial_hits, stats.partial_misses),
+        (6, 8),
+        "{stats:?}"
+    );
+    assert_eq!(stats.fused_partial_scans, 6, "{stats:?}");
+
+    server.shutdown();
+    for path in &paths {
+        let _ = std::fs::remove_file(path);
+    }
 }

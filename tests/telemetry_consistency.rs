@@ -3,15 +3,23 @@
 //!
 //! The invariants are structural, not statistical — each one holds
 //! because the instrumentation records exactly one sample per unit of
-//! work the corresponding counter counts:
+//! work the corresponding counter counts — and since every result-cache
+//! miss takes the one grid path, each holds on **every topology** (flat
+//! store, segment catalog, trial catalog), which is how they are
+//! asserted here (OBSERVABILITY.md §3.1):
 //!
 //! * `stage_queue_micros.count == completed + failed` (one queue-wait
 //!   sample per answered request);
 //! * `stage_scan_micros.count == cache_misses` (one scan sample per
 //!   result-cache miss — hits never scan);
-//! * `stage_scan_shard_micros.count == partial_misses` (one sample per
-//!   trial-window rescan on a trial-sharded catalog);
-//! * `batch_exec_micros.count == batches`.
+//! * `partial_hits + partial_misses` == the (missing scan spec, cell)
+//!   pairs the batches planned (each pair is probed exactly once);
+//! * `stage_scan_shard_micros.count == fused_partial_scans <=
+//!   partial_misses` (one sample per fused cell scan, each covering at
+//!   least one missing pair);
+//! * `stage_stitch_micros.count` == the answered misses;
+//! * `batch_exec_micros.count == batches`,
+//!   `stage_admission_micros.count == submitted`.
 //!
 //! If an instrumentation refactor ever samples twice, skips an error
 //! path, or counts a unit the stats layer does not, these equalities
@@ -21,33 +29,29 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use catrisk_riskquery::prelude::*;
+use catrisk_riskquery::{plan_cells, QueryPlan};
 use catrisk_riskserve::telemetry::stage;
-use catrisk_riskserve::test_store::random_store;
-use catrisk_riskserve::{Server, ServerConfig, ShardAxis, StoreCatalog, Ticket};
+use catrisk_riskserve::test_store::{random_store, write_catalog};
+use catrisk_riskserve::{Server, ServerConfig, ShardAxis, SourceProvider, StoreCatalog, Ticket};
 
-/// Four distinct query shapes — each a separate result-cache entry.
-fn query_shapes() -> Vec<Query> {
+/// Four distinct scan specs, each asked with `aggregate`: a separate
+/// result-cache entry per (spec, aggregate), one set of cells per spec.
+fn query_shapes(aggregate: Aggregate) -> Vec<Query> {
     [
-        QueryBuilder::new()
-            .aggregate(Aggregate::Mean)
-            .group_by(Dimension::Region),
-        QueryBuilder::new()
-            .aggregate(Aggregate::Tvar { level: 0.95 })
-            .group_by(Dimension::Lob),
-        QueryBuilder::new().aggregate(Aggregate::MaxLoss),
-        QueryBuilder::new()
-            .aggregate(Aggregate::StdDev)
-            .group_by(Dimension::Peril),
+        QueryBuilder::new().group_by(Dimension::Region),
+        QueryBuilder::new().group_by(Dimension::Lob),
+        QueryBuilder::new(),
+        QueryBuilder::new().group_by(Dimension::Peril),
     ]
     .into_iter()
-    .map(|b| b.build().unwrap())
+    .map(|b| b.aggregate(aggregate.clone()).build().unwrap())
     .collect()
 }
 
 /// Submits every query, waits for all replies, and returns how many were
 /// answered successfully.  Waiting between calls puts successive rounds
 /// in separate batches, so repeats hit the result cache.
-fn drive(server: &Server<impl catrisk_riskserve::SourceProvider>, queries: &[Query]) -> u64 {
+fn drive(server: &Server<impl SourceProvider>, queries: &[Query]) -> u64 {
     let tickets: Vec<Ticket> = queries
         .iter()
         .map(|q| server.submit(q.clone()).expect("admitted"))
@@ -60,44 +64,98 @@ fn drive(server: &Server<impl catrisk_riskserve::SourceProvider>, queries: &[Que
     answered
 }
 
-#[test]
-fn stage_histogram_counts_match_serving_counters() {
-    let store = Arc::new(random_store(96, 8, 42));
+/// Drives `provider` through cold misses, result-cache hits, and misses
+/// that share the earlier scan specs, then asserts every §3.1 count
+/// contract.  `multi_cell` says whether the topology cuts plans into
+/// more than one cell (so the cell cache is in play).
+fn assert_count_contracts<P: SourceProvider>(provider: P, multi_cell: bool) {
     let server = Server::new(
-        Arc::clone(&store),
+        provider,
         ServerConfig {
             batch_window: Duration::from_micros(200),
             recorder_capacity: 64,
             ..ServerConfig::default()
         },
     );
-    let queries = query_shapes();
+    let cold = query_shapes(Aggregate::Mean);
     let mut answered = 0;
     for _ in 0..3 {
-        answered += drive(&server, &queries);
+        answered += drive(&server, &cold);
     }
-    assert_eq!(answered, 3 * queries.len() as u64);
+    // Same four specs, new aggregates: result-cache misses whose cells
+    // are already cached wherever cells are cached at all.
+    let warm = query_shapes(Aggregate::Tvar { level: 0.95 });
+    answered += drive(&server, &warm);
+    assert_eq!(answered, 4 * cold.len() as u64);
+
+    // The (spec, cell) pairs the two missing rounds planned, from the
+    // public planner over the server's own snapshot.
+    let planned_pairs: u64 = server.provider().with_source(|snapshot| {
+        let cells = |query: &Query| {
+            let plan = QueryPlan::new(snapshot.source, query).expect("plan");
+            plan_cells(&plan, snapshot.grid, snapshot.source.num_segments())
+                .0
+                .len() as u64
+        };
+        cold.iter().chain(&warm).map(cells).sum()
+    });
 
     let stats = server.stats();
     let metrics = server.metrics();
+    let count = |name: &str| metrics.histogram(name).expect(name).count;
 
-    let queue = metrics.histogram(stage::QUEUE).expect("queue histogram");
     assert_eq!(
-        queue.count,
+        count(stage::QUEUE),
         stats.completed + stats.failed,
         "one queue sample per answered request: {stats:?}"
     );
-    let scan = metrics.histogram(stage::SCAN).expect("scan histogram");
+    assert_eq!(stats.cache_misses, 2 * cold.len() as u64, "{stats:?}");
+    assert!(stats.cache_hits > 0, "the repeated shapes must hit");
     assert_eq!(
-        scan.count, stats.cache_misses,
+        count(stage::SCAN),
+        stats.cache_misses,
         "one scan sample per result-cache miss: {stats:?}"
     );
-    assert!(stats.cache_hits > 0, "the repeated shapes must hit");
-    let batch_exec = metrics.histogram(stage::BATCH_EXEC).expect("batch exec");
-    assert_eq!(batch_exec.count, stats.batches, "one sample per batch");
-    let admission = metrics.histogram(stage::ADMISSION).expect("admission");
     assert_eq!(
-        admission.count, stats.submitted,
+        stats.partial_hits + stats.partial_misses,
+        planned_pairs,
+        "every (missing scan spec, cell) pair is one hit or one miss: {stats:?}"
+    );
+    if multi_cell {
+        assert!(planned_pairs > 2 * cold.len() as u64, "{planned_pairs}");
+        assert!(
+            stats.partial_hits > 0,
+            "shared specs must reuse cells: {stats:?}"
+        );
+    } else {
+        assert_eq!(
+            stats.partial_hits, 0,
+            "single-cell plans skip the cell cache"
+        );
+        assert_eq!(stats.partial_misses, stats.cache_misses, "{stats:?}");
+    }
+    assert_eq!(
+        count(stage::SCAN_SHARD),
+        stats.fused_partial_scans,
+        "one cell-scan sample per fused scan: {stats:?}"
+    );
+    assert!(
+        stats.fused_partial_scans > 0 && stats.fused_partial_scans <= stats.partial_misses,
+        "a fused scan covers at least one missing (spec, cell) pair: {stats:?}"
+    );
+    assert_eq!(
+        count(stage::STITCH),
+        stats.cache_misses,
+        "one stitch sample per answered miss: {stats:?}"
+    );
+    assert_eq!(
+        count(stage::BATCH_EXEC),
+        stats.batches,
+        "one sample per batch"
+    );
+    assert_eq!(
+        count(stage::ADMISSION),
+        stats.submitted,
         "one admission sample per submit"
     );
 
@@ -111,6 +169,7 @@ fn stage_histogram_counts_match_serving_counters() {
     );
 
     // Percentile sanity on a live histogram.
+    let queue = metrics.histogram(stage::QUEUE).expect("queue histogram");
     assert!(queue.percentile(50.0) <= queue.percentile(99.0));
     assert!(queue.percentile(99.0) <= queue.max);
 
@@ -130,76 +189,28 @@ fn stage_histogram_counts_match_serving_counters() {
 }
 
 #[test]
-fn trial_sharded_scan_shard_count_matches_partial_misses() {
-    // Two trial-window shard files cut from one 64-trial store.
-    let store = random_store(64, 4, 31);
-    let mut paths = Vec::new();
-    for (index, (start, end)) in [(0usize, 32usize), (32, 64)].into_iter().enumerate() {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "catrisk-telemetry-consistency-{}-{index}.clm",
-            std::process::id()
-        ));
-        let mut writer = catrisk_riskstore::StoreWriter::create_with(
-            &path,
-            end - start,
-            catrisk_riskstore::StoreOptions {
-                trial_offset: start as u64,
-                ..catrisk_riskstore::StoreOptions::default()
-            },
-        )
-        .unwrap();
-        for s in 0..store.num_segments() {
-            writer
-                .append_segment(
-                    *store.meta(s),
-                    &store.year_losses(s)[start..end],
-                    &store.max_occ_losses(s)[start..end],
-                )
-                .unwrap();
-        }
-        writer.finish().unwrap();
-        paths.push(path);
-    }
+fn count_contracts_hold_on_a_flat_store() {
+    assert_count_contracts(Arc::new(random_store(96, 8, 42)), false);
+}
+
+/// The same contracts over a catalog of two shard files cut from one
+/// store along `axis`.
+fn assert_count_contracts_on_catalog(axis: ShardAxis, tag: &str) {
+    let paths = write_catalog(&random_store(64, 8, 31), axis, 2, tag);
     let catalog = StoreCatalog::open(&paths).unwrap();
-    assert_eq!(catalog.axis(), ShardAxis::Trial);
-    let server = Server::new(
-        catalog,
-        ServerConfig {
-            batch_window: Duration::from_micros(200),
-            ..ServerConfig::default()
-        },
-    );
-    let queries = query_shapes();
-    for _ in 0..2 {
-        drive(&server, &queries);
-    }
-
-    let stats = server.stats();
-    let metrics = server.metrics();
-    assert!(stats.partial_misses > 0, "fresh queries must rescan");
-    let shard_scans = metrics
-        .histogram(stage::SCAN_SHARD)
-        .expect("per-shard scan histogram");
-    assert_eq!(
-        shard_scans.count, stats.fused_partial_scans,
-        "one per-shard sample per fused partial scan: {stats:?}"
-    );
-    assert!(
-        stats.fused_partial_scans > 0,
-        "the rescans must have run through fused scans: {stats:?}"
-    );
-    assert!(
-        stats.fused_partial_scans <= stats.partial_misses,
-        "a fused scan covers at least one missing (query, shard) pair: {stats:?}"
-    );
-    let stitch = metrics.histogram(stage::STITCH).expect("stitch histogram");
-    assert!(stitch.count > 0, "the trial path always stitches");
-    let scan = metrics.histogram(stage::SCAN).expect("scan histogram");
-    assert_eq!(scan.count, stats.cache_misses, "{stats:?}");
-
-    server.shutdown();
+    assert_eq!(catalog.axis(), axis);
+    assert_count_contracts(catalog, true);
     for path in &paths {
         let _ = std::fs::remove_file(path);
     }
+}
+
+#[test]
+fn count_contracts_hold_on_a_segment_catalog() {
+    assert_count_contracts_on_catalog(ShardAxis::Segment, "telemetry-segment");
+}
+
+#[test]
+fn count_contracts_hold_on_a_trial_catalog() {
+    assert_count_contracts_on_catalog(ShardAxis::Trial, "telemetry-trial");
 }

@@ -12,8 +12,8 @@
 //!   `traces_started == submitted` — the sampling decision rides the
 //!   admission critical section;
 //! * a traced request's `scan_shard` span count equals the server's
-//!   `partial_misses` delta across that request (trial-sharded
-//!   catalogs);
+//!   `partial_misses` delta across that request — on a flat store, a
+//!   segment catalog and a trial catalog alike;
 //! * child span durations never sum past their parent, recursively, and
 //!   every child interval nests inside its parent's;
 //! * every nonzero histogram exemplar id resolves to a retained-or-
@@ -23,9 +23,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use catrisk_riskquery::prelude::*;
-use catrisk_riskserve::test_store::random_store;
+use catrisk_riskserve::test_store::{random_store, write_catalog};
 use catrisk_riskserve::{
-    Server, ServerConfig, ShardAxis, StoreCatalog, Ticket, TraceLookup, TraceSpan,
+    Server, ServerConfig, ShardAxis, SourceProvider, StoreCatalog, Ticket, TraceLookup, TraceSpan,
 };
 
 /// Four distinct query shapes — each a separate result-cache entry.
@@ -138,50 +138,18 @@ fn trace_totals_match_reply_timings_exactly() {
     server.shutdown();
 }
 
-#[test]
-fn scan_shard_span_count_matches_partial_miss_delta() {
-    // Two trial-window shard files cut from one 64-trial store.
-    let store = random_store(64, 4, 31);
-    let mut paths = Vec::new();
-    for (index, (start, end)) in [(0usize, 32usize), (32, 64)].into_iter().enumerate() {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "catrisk-trace-consistency-{}-{index}.clm",
-            std::process::id()
-        ));
-        let mut writer = catrisk_riskstore::StoreWriter::create_with(
-            &path,
-            end - start,
-            catrisk_riskstore::StoreOptions {
-                trial_offset: start as u64,
-                ..catrisk_riskstore::StoreOptions::default()
-            },
-        )
-        .unwrap();
-        for s in 0..store.num_segments() {
-            writer
-                .append_segment(
-                    *store.meta(s),
-                    &store.year_losses(s)[start..end],
-                    &store.max_occ_losses(s)[start..end],
-                )
-                .unwrap();
-        }
-        writer.finish().unwrap();
-        paths.push(path);
-    }
-    let catalog = StoreCatalog::open(&paths).unwrap();
-    assert_eq!(catalog.axis(), ShardAxis::Trial);
+/// One request at a time through `provider`, so the stats delta around
+/// each query is attributable to exactly that request's trace: its
+/// `scan_shard` span count must equal the `partial_misses` delta — on
+/// every topology, since every miss takes the one grid path.
+fn assert_scan_shard_spans_match_partial_misses<P: SourceProvider>(provider: P) {
     let server = Server::new(
-        catalog,
+        provider,
         ServerConfig {
             trace_sample_every: 1,
             ..ServerConfig::default()
         },
     );
-
-    // One request at a time: the stats delta around each submit is then
-    // attributable to exactly that request's trace.
     let mut saw_rescans = false;
     for round in 0..2 {
         for query in query_shapes() {
@@ -193,7 +161,7 @@ fn scan_shard_span_count_matches_partial_miss_delta() {
             assert_eq!(
                 rescans,
                 after.partial_misses - before.partial_misses,
-                "round {round}: trace {} claims {rescans} shard rescans, \
+                "round {round}: trace {} claims {rescans} cell rescans, \
                  counters moved by {}",
                 trace.id,
                 after.partial_misses - before.partial_misses
@@ -201,7 +169,7 @@ fn scan_shard_span_count_matches_partial_miss_delta() {
             saw_rescans |= rescans > 0;
             if rescans > 0 {
                 // A rescanning trace also records the stitch that
-                // recombined the windows, and attributes its scan.
+                // recombined the cells, and attributes its scan.
                 assert_eq!(trace.root.count_named("stitch"), 1);
                 let scan = trace.root.find("scan").expect("scan span");
                 assert!(scan.attrs.iter().any(|(k, _)| k == "segments"));
@@ -209,14 +177,38 @@ fn scan_shard_span_count_matches_partial_miss_delta() {
             assert_tree_arithmetic(&trace.root);
         }
     }
-    assert!(saw_rescans, "first-round queries must rescan both windows");
+    assert!(saw_rescans, "first-round queries must rescan their cells");
 
     let stats = server.stats();
     assert_eq!(stats.traces_started, stats.submitted, "{stats:?}");
     server.shutdown();
+}
+
+#[test]
+fn scan_shard_span_count_matches_partial_miss_delta_on_a_flat_store() {
+    assert_scan_shard_spans_match_partial_misses(Arc::new(random_store(64, 8, 31)));
+}
+
+/// The same contract over two shard files cut from one store along
+/// `axis`.
+fn assert_scan_shard_spans_on_catalog(axis: ShardAxis, tag: &str) {
+    let paths = write_catalog(&random_store(64, 8, 31), axis, 2, tag);
+    let catalog = StoreCatalog::open(&paths).unwrap();
+    assert_eq!(catalog.axis(), axis);
+    assert_scan_shard_spans_match_partial_misses(catalog);
     for path in &paths {
         let _ = std::fs::remove_file(path);
     }
+}
+
+#[test]
+fn scan_shard_span_count_matches_partial_miss_delta_on_a_segment_catalog() {
+    assert_scan_shard_spans_on_catalog(ShardAxis::Segment, "trace-segment");
+}
+
+#[test]
+fn scan_shard_span_count_matches_partial_miss_delta_on_a_trial_catalog() {
+    assert_scan_shard_spans_on_catalog(ShardAxis::Trial, "trace-trial");
 }
 
 #[test]
