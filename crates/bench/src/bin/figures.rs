@@ -302,6 +302,7 @@ fn fig6a(base: &WorkloadSpec) {
     let executor = Executor::tesla_c2075();
 
     let (_, t_seq) = wall(|| SequentialEngine::new().run(&input));
+    let (_, t_par1) = wall(|| ParallelEngine::with_threads(1).run(&input));
     let (_, t_par) = wall(|| ParallelEngine::with_threads(8).run(&input));
     let (_, t_all) = wall(|| ParallelEngine::new().run(&input));
     let (_, t_chunk_cpu) = wall(|| ChunkedEngine::new(64).run(&input));
@@ -323,52 +324,26 @@ fn fig6a(base: &WorkloadSpec) {
     let t_chunked = total_simulated_seconds(&chunked);
 
     println!(
-        "{:<26} {:>12} {:>12} {:>20}",
-        "engine", "seconds", "vs seq", "est. paper-scale s"
+        "{:<26} {:>12} {:>10} {:>8} {:>20}",
+        "engine", "seconds", "speed-up", "base", "est. paper-scale s"
     );
-    let paper = |t: f64| t * PAPER_LOOKUPS / lookups;
-    println!(
-        "{:<26} {:>12.3} {:>12.2} {:>20.1}",
-        "sequential (wall)",
-        t_seq,
-        1.0,
-        paper(t_seq)
-    );
-    println!(
-        "{:<26} {:>12.3} {:>12.2} {:>20.1}",
-        "parallel 8 cores (wall)",
-        t_par,
-        t_seq / t_par,
-        paper(t_par)
-    );
-    println!(
-        "{:<26} {:>12.3} {:>12.2} {:>20.1}",
-        "parallel all cores (wall)",
-        t_all,
-        t_seq / t_all,
-        paper(t_all)
-    );
-    println!(
-        "{:<26} {:>12.3} {:>12.2} {:>20.1}",
-        "chunked cpu (wall)",
-        t_chunk_cpu,
-        t_seq / t_chunk_cpu,
-        paper(t_chunk_cpu)
-    );
-    println!(
-        "{:<26} {:>12.3} {:>12.2} {:>20.1}",
-        "gpu basic (simulated)",
-        t_basic,
-        t_seq / t_basic,
-        paper(t_basic)
-    );
-    println!(
-        "{:<26} {:>12.3} {:>12.2} {:>20.1}",
-        "gpu chunked (simulated)",
-        t_chunked,
-        t_seq / t_chunked,
-        paper(t_chunked)
-    );
+    // The parallel engine's kernel differs from the sequential engine's (one
+    // collapsed-table read per occurrence, not one lookup per ELT), so its
+    // multi-core speed-up is taken over its own one-thread run, as in Fig. 3.
+    let row = |engine: &str, t: f64, base: &str, t_base: f64| {
+        println!(
+            "{engine:<26} {t:>12.3} {:>10.2} {base:>8} {:>20.1}",
+            t_base / t,
+            t * PAPER_LOOKUPS / lookups
+        );
+    };
+    row("sequential (wall)", t_seq, "seq", t_seq);
+    row("parallel 1 core (wall)", t_par1, "seq", t_seq);
+    row("parallel 8 cores (wall)", t_par, "par-1", t_par1);
+    row("parallel all cores (wall)", t_all, "par-1", t_par1);
+    row("chunked cpu (wall)", t_chunk_cpu, "seq", t_seq);
+    row("gpu basic (simulated)", t_basic, "seq", t_seq);
+    row("gpu chunked (simulated)", t_chunked, "seq", t_seq);
     println!(
         "(simulated GPU rows are Tesla C2075 model time; CPU rows are wall clock on this host)"
     );
@@ -393,7 +368,9 @@ fn ablation_lookup(base: &WorkloadSpec) {
         let spec = base.with_lookup(kind);
         let input = build_input(&spec);
         let mem = input.lookup_memory_bytes() as f64 / 1.0e6;
-        let (_, t) = wall(|| ParallelEngine::new().run(&input));
+        // The per-ELT reference engine: the production kernel reads a
+        // collapsed table, where the structures differ only in build time.
+        let (_, t) = wall(|| SequentialEngine::new().run(&input));
         let baseline = *direct_time.get_or_insert(t);
         println!(
             "{:<10} {t:>12.3} {:>10.2} {mem:>16.1}",

@@ -21,7 +21,7 @@
 //! | Fig. 4 | `fig4_gpu_basic` | `figures fig4` |
 //! | Fig. 5a–b | `fig5_gpu_chunked` | `figures fig5a`, `fig5b` |
 //! | Fig. 6a–b | `fig6_summary` | `figures fig6a`, `fig6b` |
-//! | lookup-structure ablation | `ablation_lookup` | `figures ablation-lookup` |
+//! | lookup-structure ablation | – (ledger rows `lookup.*.mlookups_per_s`) | `figures ablation-lookup` |
 //! | real-time pricing ablation | `ablation_realtime` | `figures ablation-realtime` |
 //!
 //! Beyond the paper's figures, the serving stack has its own gates (each

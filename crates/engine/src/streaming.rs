@@ -78,9 +78,11 @@ impl StreamingEngine {
         while start < num_trials {
             let end = (start + self.block_size).min(num_trials);
             let block_yet = input.yet().slice_trials(start..end);
-            // Rebuild a lightweight view over the same ELTs/layers but the
-            // sliced YET.  Lookup structures are shared by reference through
-            // the prepared input, so only the YET slice is copied.
+            // The block's input: the sliced YET over the same layers.  Memoised
+            // layer tables are shared, so a table is built once for all
+            // blocks; `with_yet_slice` still deep-copies every prepared ELT
+            // per block (it always has — see its comment for why it keeps
+            // doing so).
             let block_input = input.with_yet_slice(block_yet);
             let output = engine.run(&block_input);
             for (layer_idx, ylt) in output.layers().iter().enumerate() {

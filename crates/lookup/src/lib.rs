@@ -13,8 +13,8 @@
 //! one memory access.
 //!
 //! This crate implements that structure plus the alternatives the paper
-//! discusses and rejects, so the trade-off can be measured (the
-//! `ablation_lookup` benchmark):
+//! discusses and rejects, so the trade-off can be measured (the perf
+//! ledger's `lookup.*.mlookups_per_s` rows and `figures ablation-lookup`):
 //!
 //! * [`DirectAccessTable`] — dense `Vec<f64>` indexed by event id (paper's
 //!   choice; one access per lookup, `O(catalog)` memory);
