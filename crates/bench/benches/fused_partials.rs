@@ -12,13 +12,12 @@
 //! partial equals its lone per-query scan and every stitched result
 //! equals the in-memory session — then gates the fused path at ≥3× the
 //! per-query throughput and pins the `fused_partial_scans` counter.
-//! `CATRISK_BENCH_QUICK=1` shrinks the workload for smoke runs.
+//! Absolute fused-scan cost is the ledger's `riskquery.session_fused_ms`
+//! / `partial_scan_ms` / `combine_ms`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use catrisk_bench::workload::build_store;
 use catrisk_riskquery::prelude::*;
@@ -29,17 +28,7 @@ use catrisk_riskquery::{
 use catrisk_riskserve::{Server, ServerConfig, ShardAxis, StoreCatalog};
 use catrisk_riskstore::{StoreOptions, StoreWriter};
 
-fn quick() -> bool {
-    std::env::var("CATRISK_BENCH_QUICK").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
-}
-
-fn trials() -> usize {
-    if quick() {
-        4_000
-    } else {
-        20_000
-    }
-}
+const TRIALS: usize = 4_000;
 
 /// 50 distinct full-axis queries that dedup to 10 unique plans: five
 /// grouping shapes × (no clip | a per-shape loss threshold), each asked
@@ -80,8 +69,7 @@ fn query_fleet(count: usize) -> Vec<Query> {
         .collect()
 }
 
-/// Equal trial cuts: the 4 windows the catalog (and the raw-scan
-/// benches) shard the axis into.
+/// Equal trial cuts: the 4 windows the catalog shards the axis into.
 fn window_cuts(trials: usize, windows: usize) -> Vec<(usize, usize)> {
     let per_window = trials / windows;
     let extra = trials % windows;
@@ -190,32 +178,12 @@ fn solo_partials(
         .collect()
 }
 
-fn fused_partials_scan(c: &mut Criterion) {
-    let store = build_store(trials(), 8, 2012, "fused-partials-bench");
-    let queries = query_fleet(50);
-    let plans: Vec<QueryPlan> = queries
-        .iter()
-        .map(|query| QueryPlan::new(&store, query).expect("plan"))
-        .collect();
-    let cuts = window_cuts(store.num_trials(), 4);
-
-    let mut group = c.benchmark_group("fused_partials");
-    group.sample_size(10);
-    group.bench_function("fused_50_queries_4_windows", |b| {
-        b.iter(|| criterion::black_box(fused_partials(&store, &queries, &plans, &cuts)))
-    });
-    group.bench_function("per_query_50_queries_4_windows", |b| {
-        b.iter(|| criterion::black_box(solo_partials(&store, &plans, &cuts)))
-    });
-    group.finish();
-}
-
 /// Prints the acceptance numbers and pins the contracts: bit-identity
 /// first (fused ≡ per-query ≡ the in-memory session), then the ≥3×
 /// throughput gate, then the served batch's ≤8 shard scans for the
 /// 50 × 4 workload.
-fn fused_equivalence(_c: &mut Criterion) {
-    let base = Arc::new(build_store(trials(), 8, 2012, "fused-partials-bench"));
+fn fused_equivalence() {
+    let base = Arc::new(build_store(TRIALS, 8, 2012, "fused-partials-bench"));
     let queries = query_fleet(50);
     let expected = QuerySession::new(&*base).run(&queries).expect("reference");
     let plans: Vec<QueryPlan> = queries
@@ -311,5 +279,6 @@ fn fused_equivalence(_c: &mut Criterion) {
     remove(&paths);
 }
 
-criterion_group!(benches, fused_partials_scan, fused_equivalence);
-criterion_main!(benches);
+fn main() {
+    fused_equivalence();
+}

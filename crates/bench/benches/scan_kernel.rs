@@ -1,8 +1,7 @@
-//! Scan-kernel benchmark: the explicit-lane SIMD block kernel against
-//! the scalar fallback, and chunked self-scheduling against the old
-//! static one-chunk-per-worker split on a skewed trial-sharded catalog.
-//!
-//! Two acceptance gates ride along with the timed groups:
+//! Scan-kernel gates: the explicit-lane SIMD block kernel against the
+//! per-element scalar reference, and chunked self-scheduling against the
+//! old static one-chunk-per-worker split on a skewed trial-sharded
+//! catalog.
 //!
 //! * `kernel_speedup` — the fused add/max accumulation at the active
 //!   lane width must run >= 1.5x the per-element scalar reference on a
@@ -23,12 +22,11 @@
 //!   there is no imbalance to recover).
 //!
 //! Both gates assert bit-identity between the configurations they time
-//! — the speedup is tracked, the bits are non-negotiable.
-//! `CATRISK_BENCH_QUICK=1` shrinks the workloads for smoke runs.
+//! — the speedup is tracked, the bits are non-negotiable.  Per-lane
+//! absolute throughput is the ledger's `riskquery.kernel.*_gb_per_s`.
 
+use std::hint::black_box;
 use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
 use catrisk_eventgen::peril::{Peril, Region};
@@ -38,21 +36,6 @@ use catrisk_riskquery::prelude::*;
 use catrisk_riskquery::TrialShardedSource;
 use catrisk_simkit::rng::RngFactory;
 
-fn quick() -> bool {
-    std::env::var("CATRISK_BENCH_QUICK").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
-}
-
-/// Restores the scheduling knobs on scope exit so a failed gate cannot
-/// leak a forced granularity into the other benchmarks in this process.
-struct RestoreKnobs;
-
-impl Drop for RestoreKnobs {
-    fn drop(&mut self) {
-        kernel::set_scan_chunks_per_thread(None);
-        rayon::set_chunks_per_worker(None);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Kernel: scalar vs widest available lane width on one resident block.
 // ---------------------------------------------------------------------
@@ -61,13 +44,8 @@ impl Drop for RestoreKnobs {
 /// resident, so the comparison isolates the kernel, not the memory bus.
 const BLOCK_LEN: usize = 1024;
 
-fn kernel_reps() -> usize {
-    if quick() {
-        4_000
-    } else {
-        20_000
-    }
-}
+/// Fused accumulations per timed run.
+const KERNEL_REPS: usize = 4_000;
 
 /// Deterministic loss-shaped data (sparse years, correlated maxima).
 fn block_data(seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -97,13 +75,13 @@ fn accumulate_per_element(acc_year: &mut [f64], acc_occ: &mut [f64], year: &[f64
         acc_year[i] += year[i];
         let o = occ[i];
         acc_occ[i] = if o > acc_occ[i] { o } else { acc_occ[i] };
-        i = criterion::black_box(i + 1);
+        i = black_box(i + 1);
     }
 }
 
-/// Seconds for `reps` fused accumulations through `run`, best of 5 runs.
+/// Seconds for `KERNEL_REPS` fused accumulations through `run`, best of 5
+/// runs.
 fn time_accumulate(
-    reps: usize,
     year: &[f64],
     occ: &[f64],
     run: impl Fn(&mut [f64], &mut [f64], &[f64], &[f64]),
@@ -115,42 +93,20 @@ fn time_accumulate(
     (0..5)
         .map(|_| {
             let start = Instant::now();
-            for _ in 0..reps {
+            for _ in 0..KERNEL_REPS {
                 run(&mut acc_year, &mut acc_occ, year, occ);
             }
-            criterion::black_box(&acc_year);
-            criterion::black_box(&acc_occ);
+            black_box(&acc_year);
+            black_box(&acc_occ);
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Timed group: one entry per lane width available on this host, so the
-/// JSON summaries record the whole ladder, not just the endpoints.
-fn kernel_block(c: &mut Criterion) {
-    let (year, occ) = block_data(2012);
-    let reps = kernel_reps().min(2_000);
-    let mut group = c.benchmark_group("scan_kernel_block");
-    group.sample_size(10);
-    for level in kernel::available_levels() {
-        group.bench_function(level.name(), |b| {
-            let mut acc_year = vec![0.0; BLOCK_LEN];
-            let mut acc_occ = vec![0.0; BLOCK_LEN];
-            b.iter(|| {
-                for _ in 0..reps {
-                    kernel::accumulate_fused_at(level, &mut acc_year, &mut acc_occ, &year, &occ);
-                }
-                criterion::black_box(acc_year.as_slice());
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Prints the measured kernel speedup and enforces the >= 1.5x bar when
 /// a vector path exists, after pinning every path's bits to the
 /// per-element reference.
-fn kernel_speedup(_c: &mut Criterion) {
+fn kernel_speedup() {
     let (year, occ) = block_data(2012);
     let best = kernel::active_level();
 
@@ -176,18 +132,17 @@ fn kernel_speedup(_c: &mut Criterion) {
         );
     }
 
-    let reps = kernel_reps();
-    let reference_secs = time_accumulate(reps, &year, &occ, accumulate_per_element);
-    let scalar_secs = time_accumulate(reps, &year, &occ, |ay, ao, y, o| {
+    let reference_secs = time_accumulate(&year, &occ, accumulate_per_element);
+    let scalar_secs = time_accumulate(&year, &occ, |ay, ao, y, o| {
         kernel::accumulate_fused_at(SimdLevel::Scalar, ay, ao, y, o)
     });
-    let vector_secs = time_accumulate(reps, &year, &occ, |ay, ao, y, o| {
+    let vector_secs = time_accumulate(&year, &occ, |ay, ao, y, o| {
         kernel::accumulate_fused_at(best, ay, ao, y, o)
     });
     let speedup = reference_secs / vector_secs;
-    let per_elem = vector_secs / (reps * BLOCK_LEN) as f64 * 1.0e9;
+    let per_elem = vector_secs / (KERNEL_REPS * BLOCK_LEN) as f64 * 1.0e9;
     println!(
-        "kernel_speedup: fused add/max over {BLOCK_LEN}-trial blocks x {reps} reps: \
+        "kernel_speedup: fused add/max over {BLOCK_LEN}-trial blocks x {KERNEL_REPS} reps: \
          per-element {:.2} ms, compiled scalar fallback {:.2} ms, {} {:.2} ms \
          ({per_elem:.3} ns/elem), speedup {speedup:.2}x vs per-element",
         reference_secs * 1.0e3,
@@ -214,13 +169,10 @@ fn kernel_speedup(_c: &mut Criterion) {
 // skewed trial-sharded source.
 // ---------------------------------------------------------------------
 
-fn scheduling_trials() -> usize {
-    if quick() {
-        40_000
-    } else {
-        120_000
-    }
-}
+const SCHEDULING_TRIALS: usize = 40_000;
+
+/// Passes over the query mix per timed run.
+const SCHEDULING_REPS: usize = 4;
 
 const SEGMENTS: usize = 16;
 
@@ -323,17 +275,17 @@ fn run_mix(
             .iter()
             .map(|q| execute(source, q).expect("query"))
             .collect();
-        criterion::black_box(&last);
+        black_box(&last);
     }
     last
 }
 
-/// Seconds for `reps` passes over the mix, best of 5 runs.
-fn time_mix(source: &TrialShardedSource<'_, ResultStore>, queries: &[Query], reps: usize) -> f64 {
+/// Seconds for `SCHEDULING_REPS` passes over the mix, best of 5 runs.
+fn time_mix(source: &TrialShardedSource<'_, ResultStore>, queries: &[Query]) -> f64 {
     (0..5)
         .map(|_| {
             let start = Instant::now();
-            run_mix(source, queries, reps);
+            run_mix(source, queries, SCHEDULING_REPS);
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
@@ -352,35 +304,12 @@ fn set_self_scheduling() {
     rayon::set_chunks_per_worker(None);
 }
 
-/// Timed group: the skewed mix under both scheduling configurations.
-fn scheduling_skewed(c: &mut Criterion) {
-    let _restore = RestoreKnobs;
-    let shards = build_skewed_shards(scheduling_trials(), 2012);
-    let source = TrialShardedSource::new(shards.iter().collect()).expect("sharded source");
-    let queries = scheduling_mix();
-    let reps = if quick() { 4 } else { 8 };
-    let mut group = c.benchmark_group("scan_scheduling_skewed");
-    group.sample_size(10);
-    group.bench_function("static_one_chunk_per_worker", |b| {
-        set_static_split();
-        b.iter(|| run_mix(&source, &queries, reps))
-    });
-    group.bench_function("self_scheduling", |b| {
-        set_self_scheduling();
-        b.iter(|| run_mix(&source, &queries, reps))
-    });
-    group.finish();
-}
-
 /// Prints the measured scheduling speedup and enforces the >= 1.2x bar
 /// on multi-core hosts, after pinning the two configurations' bits.
-fn scheduling_speedup(_c: &mut Criterion) {
-    let _restore = RestoreKnobs;
-    let trials = scheduling_trials();
-    let shards = build_skewed_shards(trials, 2012);
+fn scheduling_speedup() {
+    let shards = build_skewed_shards(SCHEDULING_TRIALS, 2012);
     let source = TrialShardedSource::new(shards.iter().collect()).expect("sharded source");
     let queries = scheduling_mix();
-    let reps = if quick() { 4 } else { 8 };
 
     // Bits first: scheduling may only change *when* blocks run.
     set_static_split();
@@ -394,15 +323,15 @@ fn scheduling_speedup(_c: &mut Criterion) {
 
     set_static_split();
     run_mix(&source, &queries, 1); // warm
-    let static_secs = time_mix(&source, &queries, reps);
+    let static_secs = time_mix(&source, &queries);
     set_self_scheduling();
     run_mix(&source, &queries, 1);
-    let dynamic_secs = time_mix(&source, &queries, reps);
+    let dynamic_secs = time_mix(&source, &queries);
 
     let threads = rayon::current_num_threads();
     let speedup = static_secs / dynamic_secs;
     println!(
-        "scheduling_speedup: {} queries x {reps} reps over {trials} trials in {} skewed \
+        "scheduling_speedup: {} queries x {SCHEDULING_REPS} reps over {SCHEDULING_TRIALS} trials in {} skewed \
          windows, {threads} threads: static {:.1} ms, self-scheduling {:.1} ms, \
          speedup {speedup:.2}x",
         queries.len(),
@@ -424,11 +353,7 @@ fn scheduling_speedup(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(
-    benches,
-    kernel_block,
-    scheduling_skewed,
-    kernel_speedup,
-    scheduling_speedup
-);
-criterion_main!(benches);
+fn main() {
+    kernel_speedup();
+    scheduling_speedup();
+}

@@ -1,4 +1,4 @@
-//! Serving-throughput benchmark: the micro-batched server against the
+//! Serving-throughput gate: the micro-batched server against the
 //! one-scan-per-request baseline, at 32 concurrent clients.
 //!
 //! The baseline models serving without the batching layer: every client
@@ -9,15 +9,17 @@
 //! one fused scan, so the same request stream costs ~`distinct scan
 //! specs` scans per window instead of `requests` scans.
 //!
-//! The `serve_speedup` target prints the measured ratio and enforces the
-//! acceptance bar: the batched server must hold >= 2x the baseline's
-//! throughput on the CI-sized store.  `CATRISK_BENCH_QUICK=1` shrinks the
-//! workload for smoke runs.
+//! The gate asserts served replies are bit-identical to direct execution,
+//! then prints the measured ratio and enforces the acceptance bar: the
+//! batched server must hold >= 2x the baseline's throughput, with
+//! telemetry at its serving defaults and again with tracing at
+//! sampling=always.  The workload is the CI-sized shape the bar has been
+//! gated on since it landed; absolute serving numbers are ledger rows
+//! (`serve_qps`, `riskserve.*`).
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use catrisk_bench::workload::build_store;
 use catrisk_eventgen::peril::Peril;
@@ -26,22 +28,11 @@ use catrisk_riskserve::{Server, ServerConfig, Ticket};
 
 const CLIENTS: usize = 32;
 
-fn quick() -> bool {
-    std::env::var("CATRISK_BENCH_QUICK").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
-}
-
-/// Requests each client fires per measured iteration.
-fn requests_per_client() -> usize {
-    if quick() {
-        4
-    } else {
-        16
-    }
-}
+/// Requests each client fires per timed run.
+const REQUESTS_PER_CLIENT: usize = 4;
 
 fn ci_sized_store() -> ResultStore {
-    let trials = if quick() { 5_000 } else { 20_000 };
-    build_store(trials, 12, 2012, "serve-bench")
+    build_store(5_000, 12, 2012, "serve-bench")
 }
 
 /// The mixed interactive workload: several distinct scan specs, several
@@ -107,7 +98,7 @@ fn run_baseline(store: &ResultStore, mix: &[Query], per_client: usize) {
             scope.spawn(move || {
                 for k in 0..per_client {
                     let query = &mix[(client + k) % mix.len()];
-                    criterion::black_box(execute(store, query).expect("baseline query"));
+                    black_box(execute(store, query).expect("baseline query"));
                 }
             });
         }
@@ -125,7 +116,7 @@ fn run_batched(server: &Server<Arc<ResultStore>>, mix: &[Query], per_client: usi
                 for k in 0..per_client {
                     let query = mix[(client + k) % mix.len()].clone();
                     let ticket: Ticket = server.submit(query).expect("admitted");
-                    criterion::black_box(ticket.wait().expect("served"));
+                    black_box(ticket.wait().expect("served"));
                 }
             });
         }
@@ -138,9 +129,8 @@ fn serving_config() -> ServerConfig {
         batch_window: Duration::from_micros(500),
         queue_depth: 4096,
         workers: 2,
-        // The result cache is disabled so this bench keeps measuring the
-        // *batching* speedup alone; the cold/warm cache path has its own
-        // bench (`sharded_scan`).
+        // Both caches are disabled so the gate keeps measuring the
+        // *batching* speedup alone.
         cache_capacity: 0,
         partial_cache_capacity: 0,
         // Telemetry stays at its serving defaults: the speedup bar below
@@ -160,34 +150,11 @@ fn traced_config() -> ServerConfig {
     }
 }
 
-fn serve_throughput(c: &mut Criterion) {
-    let store = Arc::new(ci_sized_store());
-    let mix = query_mix();
-    let per_client = requests_per_client();
-    let mut group = c.benchmark_group("serve_throughput_32_clients");
-    group.sample_size(10);
-    group.bench_function("baseline_scan_per_request", |b| {
-        b.iter(|| run_baseline(&store, &mix, per_client))
-    });
-    group.bench_function("micro_batched_server", |b| {
-        let server = Server::new(Arc::clone(&store), serving_config());
-        b.iter(|| run_batched(&server, &mix, per_client));
-        server.shutdown();
-    });
-    group.bench_function("micro_batched_server_traced", |b| {
-        let server = Server::new(Arc::clone(&store), traced_config());
-        b.iter(|| run_batched(&server, &mix, per_client));
-        server.shutdown();
-    });
-    group.finish();
-}
-
 /// Prints the measured speedup (the acceptance number) and verifies the
 /// served results are bit-identical to direct execution.
-fn serve_speedup(_c: &mut Criterion) {
+fn serve_speedup() {
     let store = Arc::new(ci_sized_store());
     let mix = query_mix();
-    let per_client = requests_per_client();
     let server = Server::new(Arc::clone(&store), serving_config());
 
     // Equivalence: a served reply matches a direct scan, bit for bit.
@@ -204,18 +171,18 @@ fn serve_speedup(_c: &mut Criterion) {
     let baseline_secs = (0..samples)
         .map(|_| {
             let start = Instant::now();
-            run_baseline(&store, &mix, per_client);
+            run_baseline(&store, &mix, REQUESTS_PER_CLIENT);
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min);
     let batched_secs = (0..samples)
         .map(|_| {
             let start = Instant::now();
-            run_batched(&server, &mix, per_client);
+            run_batched(&server, &mix, REQUESTS_PER_CLIENT);
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min);
-    let requests = (CLIENTS * per_client) as f64;
+    let requests = (CLIENTS * REQUESTS_PER_CLIENT) as f64;
     let speedup = baseline_secs / batched_secs;
     println!(
         "serve_speedup: {requests:.0} requests from {CLIENTS} clients: \
@@ -238,7 +205,7 @@ fn serve_speedup(_c: &mut Criterion) {
     let traced_secs = (0..samples)
         .map(|_| {
             let start = Instant::now();
-            run_batched(&traced_server, &mix, per_client);
+            run_batched(&traced_server, &mix, REQUESTS_PER_CLIENT);
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min);
@@ -261,5 +228,6 @@ fn serve_speedup(_c: &mut Criterion) {
     traced_server.shutdown();
 }
 
-criterion_group!(benches, serve_throughput, serve_speedup);
-criterion_main!(benches);
+fn main() {
+    serve_speedup();
+}

@@ -99,6 +99,7 @@ fn main() {
         "# base workload: {} trials x {:.0} events/trial, {} ELTs/layer, catalog {}",
         base.trials, base.events_per_trial, base.elts_per_layer, base.num_events
     );
+    let mut ok = true;
     for figure in requested {
         match figure {
             "table1" => table1(),
@@ -114,9 +115,12 @@ fn main() {
             "fig6a" => fig6a(&base),
             "fig6b" => fig6b(&base),
             "ablation-lookup" => ablation_lookup(&base),
-            "ablation-realtime" => ablation_realtime(&base),
+            "ablation-realtime" => ok &= ablation_realtime(&base),
             other => eprintln!("unknown figure `{other}` (skipped)"),
         }
+    }
+    if !ok {
+        std::process::exit(1);
     }
 }
 
@@ -380,7 +384,9 @@ fn ablation_lookup(base: &WorkloadSpec) {
     }
 }
 
-fn ablation_realtime(base: &WorkloadSpec) {
+/// Returns `false` if any row printed a zero premium: a treaty that never
+/// attaches prices nothing, and the latency column would time a no-op.
+fn ablation_realtime(base: &WorkloadSpec) -> bool {
     println!("\n## Ablation — real-time pricing latency vs trial count (paper §IV: 50k trials, sub-second)");
     let spec = WorkloadSpec {
         trials: base.trials.max(50_000),
@@ -388,13 +394,17 @@ fn ablation_realtime(base: &WorkloadSpec) {
     };
     let input = build_input(&spec);
     println!("{:>10} {:>14} {:>16}", "trials", "quote seconds", "premium");
+    let mut attached = true;
     for trials in [1_000usize, 5_000, 10_000, 50_000] {
         let trials = trials.min(input.num_trials());
         let quoter =
             RealTimeQuoter::new(&input, Some(trials), PricingConfig::default()).expect("quoter");
         let quoted = quoter
             .quote(
-                Treaty::cat_xl(20.0e6, 60.0e6),
+                // ELT financial terms cap each loss near 4.5 M, so the
+                // treaty must attach below that (the ledger's
+                // `quote_paper` terms).
+                Treaty::cat_xl(4.0e6, 4.0e6),
                 &(0..spec.elts_per_layer).collect::<Vec<_>>(),
             )
             .expect("quote");
@@ -403,5 +413,10 @@ fn ablation_realtime(base: &WorkloadSpec) {
             quoted.elapsed.as_secs_f64(),
             quoted.quote.gross_premium
         );
+        attached &= quoted.quote.gross_premium >= 0.5;
     }
+    if !attached {
+        eprintln!("error: ablation-realtime printed a zero premium (the treaty never attached)");
+    }
+    attached
 }

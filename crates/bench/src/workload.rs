@@ -13,8 +13,8 @@ use catrisk_simkit::rng::RngFactory;
 
 /// The shape of an aggregate-analysis workload.
 ///
-/// The defaults are the *bench-scale* problem used by the Criterion benches
-/// and the `figures` harness; [`WorkloadSpec::paper_scale`] is the paper's
+/// The defaults are the *bench-scale* problem the perf ledger and the
+/// `figures` harness start from; [`WorkloadSpec::paper_scale`] is the paper's
 /// standard problem (1 M trials × 1000 events × 15 ELTs — ~15 billion
 /// lookups), which is practical for the simulated-GPU timing model but slow
 /// for wall-clock CPU sweeps on a laptop.
@@ -206,11 +206,11 @@ pub fn build_input(spec: &WorkloadSpec) -> AnalysisInput {
         .expect("workload construction is internally consistent")
 }
 
-/// A production-shaped in-memory result store for the query, store and
-/// serving benches: `books` books, each one `(region, line of business)`
-/// with a layer per book and one segment per peril active in the region,
+/// A production-shaped in-memory result store for the serving gates:
+/// `books` books, each one `(region, line of business)` with a layer per
+/// book and one segment per peril active in the region,
 /// ~25 % of trials carrying a loss.  `stream` names the RNG stream, so
-/// each bench keeps the exact store it has always measured.
+/// each gate keeps the exact store it has always measured.
 pub fn build_store(trials: usize, books: usize, seed: u64, stream: &str) -> ResultStore {
     let factory = RngFactory::new(seed).derive(stream);
     let mut store = ResultStore::new(trials);

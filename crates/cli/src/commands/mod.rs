@@ -54,7 +54,8 @@ commands:
            flight-recorder event ring (--recorder, incremental with
            --since), and retained request traces (--trace ID, --slowest N)
              run `catrisk stats --help` for the options
-  info     print the simulated device and default configuration";
+  info     print the simulated device and the SIMD level, worker threads and
+           store backing this process runs with";
 
 /// Parsed `--key value` style options.
 pub struct Options {
@@ -167,8 +168,8 @@ mod tests {
 
     #[test]
     fn options_collect_repeated_values() {
-        let opts = Options::parse(&strings(&["--store", "a.clm", "--store", "b.clm"])).unwrap();
-        assert_eq!(opts.get_all("store"), vec!["a.clm", "b.clm"]);
+        let opts = Options::parse(&strings(&["--addr", "a:1", "--addr", "b:2"])).unwrap();
+        assert_eq!(opts.get_all("addr"), vec!["a:1", "b:2"]);
         assert!(opts.get_all("missing").is_empty());
     }
 

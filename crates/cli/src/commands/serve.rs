@@ -91,11 +91,7 @@ options:
                    execution profile and stamp histogram exemplars
   --trace-capacity N  completed traces retained for `trace <id>` lookups
                    and `catrisk stats --slowest` (default 256, plus a
-                   fixed pool of the slowest; 0 disables retention)
-
-deprecated (still accepted, with a warning):
-  --store PATH     pass the path as a positional CATALOG argument instead
-  --in PATH        pass the path as a positional CATALOG argument instead";
+                   fixed pool of the slowest; 0 disables retention)";
 
 /// Detailed usage of the loadgen command, shown by `catrisk loadgen --help`.
 pub const LOADGEN_HELP: &str = "usage: catrisk loadgen [options]
@@ -149,8 +145,7 @@ The report includes the server's own per-stage latency histograms
 (queue wait, scan, batch execution) scraped via the `metrics` protocol
 command — see docs/OBSERVABILITY.md for the stage taxonomy.";
 
-/// What the positional `CATALOG` arguments (plus the deprecated
-/// `--store`/`--in` aliases) resolved to.
+/// What the positional `CATALOG` arguments resolved to.
 pub(crate) enum ServeSource {
     /// A fixed list of store files.
     Files(Vec<String>),
@@ -158,13 +153,22 @@ pub(crate) enum ServeSource {
     Dir(PathBuf),
 }
 
-/// Resolves the serve addressing form: positional paths first (a
-/// directory means auto-discovery), deprecated `--store`/`--in` merged
-/// in with a one-line warning.
+/// Resolves the serve addressing form: positional paths, where a
+/// directory means auto-discovery.  The removed `--store` / `--in` flags
+/// are rejected by name — [`Options::parse`] accepts any `--key value`,
+/// and silently ignoring a path would serve the wrong catalog.
 pub(crate) fn resolve_sources(
     positionals: &[String],
     options: &Options,
 ) -> Result<ServeSource, String> {
+    for removed in ["store", "in"] {
+        if options.has_value(removed) || options.has_flag(removed) {
+            return Err(format!(
+                "--{removed} is not an option here: pass store files or one catalog \
+                 directory as positional arguments (e.g. `catrisk serve a.clm b.clm`)"
+            ));
+        }
+    }
     let mut files: Vec<String> = Vec::new();
     let mut dirs: Vec<PathBuf> = Vec::new();
     for arg in positionals {
@@ -174,18 +178,6 @@ pub(crate) fn resolve_sources(
         } else {
             files.push(arg.clone());
         }
-    }
-    let mut deprecated = options.get_all("store");
-    let input = options.get("in", String::new())?;
-    if !input.is_empty() {
-        deprecated.push(input);
-    }
-    if !deprecated.is_empty() {
-        eprintln!(
-            "warning: --store/--in are deprecated; pass store files or a catalog \
-             directory as positional arguments (e.g. `catrisk serve /data/stores`)"
-        );
-        files.append(&mut deprecated);
     }
     match (dirs.len(), files.is_empty()) {
         (0, true) => Err(
@@ -563,17 +555,8 @@ mod tests {
         write_small_store(&shard_a, "5");
         write_small_store(&shard_b, "7");
 
-        // The deprecated --store aliases still resolve (with a warning).
-        let serve_options = Options::parse(&strings(&[
-            "--store",
-            &shard_a,
-            "--store",
-            &shard_b,
-            "--addr",
-            "127.0.0.1:0",
-        ]))
-        .unwrap();
-        let front = bind_front_end(&[], &serve_options).unwrap();
+        let serve_options = Options::parse(&strings(&["--addr", "127.0.0.1:0"])).unwrap();
+        let front = bind_front_end(&[shard_a.clone(), shard_b.clone()], &serve_options).unwrap();
         assert_eq!(front.server().provider().num_shards(), 2);
         let addr = front.local_addr().to_string();
 
@@ -714,14 +697,24 @@ mod tests {
             run_serve(&[], &no_args).is_err(),
             "a catalog argument is required"
         );
-        assert!(run_serve(
-            &[],
-            &Options::parse(&strings(&["--in", "/nonexistent/x.clm"])).unwrap()
-        )
-        .is_err());
+        assert!(run_serve(&strings(&["/nonexistent/x.clm"]), &no_args).is_err());
         // An all-empty (never committed) catalog is rejected up front.
         let out = temp_store("empty");
         drop(catrisk_riskstore::StoreWriter::create(&out, 8).unwrap());
+        // The removed --store / --in flags are refused by name, through
+        // the raw-argument path `catrisk serve` takes — even for a file
+        // that exists, and even beside a valid positional catalog.
+        for args in [
+            vec!["--store", out.as_str()],
+            vec!["--in", out.as_str()],
+            vec![out.as_str(), "--store", out.as_str()],
+        ] {
+            let err = run_serve_args(&strings(&args)).unwrap_err();
+            assert!(
+                err.contains("is not an option here") && err.contains("positional"),
+                "{args:?}: {err}"
+            );
+        }
         assert!(run_serve(std::slice::from_ref(&out), &no_args).is_err());
         // A directory mixed with files, or several directories, is
         // ambiguous and refused.

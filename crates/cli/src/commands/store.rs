@@ -62,7 +62,6 @@ catalog inspect a multi-store catalog: per-shard segment counts, trial
         resident sizes, plus the union the query router would serve.
         Takes the same positional CATALOG arguments as `catrisk serve`:
         one directory of store files, or one or more store file paths
-        (--store PATH is still accepted, deprecated)
 
 examples:
   catrisk store write --out portfolio.clm --trials 50000 --engine streaming
@@ -90,7 +89,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         "split" => split(&Options::parse(&args[1..])?),
         "catalog" => {
             // Same addressing as `catrisk serve`: leading positional
-            // paths (a directory or store files), --store deprecated.
+            // paths (a directory or store files).
             let split = args[1..]
                 .iter()
                 .position(|a| a.starts_with("--"))
@@ -454,9 +453,7 @@ mod tests {
         let b = temp_store("catalog-b");
         run(&[vec!["write".to_string()], small_world(&a, &[])].concat()).unwrap();
         run(&[vec!["write".to_string()], small_world(&b, &["--seed", "9"])].concat()).unwrap();
-        // Positional form, plus the deprecated --store alias.
         run(&strings(&["catalog", &a, &b])).unwrap();
-        run(&strings(&["catalog", "--store", &a, "--store", &b])).unwrap();
 
         // A shard with a different trial count cannot join the catalog.
         let c = temp_store("catalog-c");
@@ -533,6 +530,13 @@ mod tests {
         .is_err());
         // Appending with a mismatched trial count is rejected.
         run(&[vec!["write".to_string()], small_world(&out, &[])].concat()).unwrap();
+        // `catalog` takes positional paths only: the removed --store flag
+        // is refused by name, even for a store that exists.
+        let err = run(&strings(&["catalog", "--store", &out])).unwrap_err();
+        assert!(
+            err.starts_with("store catalog: --store is not an option here"),
+            "{err}"
+        );
         let mut mismatched = small_world(&out, &["--append"]);
         let trials_at = mismatched.iter().position(|a| a == "120").unwrap();
         mismatched[trials_at] = "64".to_string();

@@ -19,7 +19,8 @@
 //!   print throughput and latency percentiles;
 //! * `stats` — scrape a running `serve` instance's telemetry (counters,
 //!   per-stage latency histograms, the flight-recorder event ring);
-//! * `info` — print the simulated device and the default configuration.
+//! * `info` — print the simulated device and the SIMD level, worker
+//!   threads and store backing this process runs with.
 //!
 //! Run `catrisk <command> --help` for the options of each command.
 

@@ -47,7 +47,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod chunked;
-pub mod config;
 pub mod input;
 pub mod parallel;
 pub mod phases;
@@ -57,7 +56,6 @@ pub mod streaming;
 pub mod ylt;
 
 pub use chunked::ChunkedEngine;
-pub use config::{EngineConfig, EngineKind};
 pub use input::{AnalysisInput, AnalysisInputBuilder, PreparedElt, PreparedLookup};
 pub use parallel::ParallelEngine;
 pub use phases::{
@@ -70,7 +68,6 @@ pub use ylt::{AnalysisOutput, TrialOutcome, YearLossTable};
 /// Convenience re-exports for building and running analyses.
 pub mod prelude {
     pub use crate::chunked::ChunkedEngine;
-    pub use crate::config::{EngineConfig, EngineKind};
     pub use crate::input::{AnalysisInput, AnalysisInputBuilder};
     pub use crate::parallel::ParallelEngine;
     pub use crate::sequential::SequentialEngine;

@@ -1,17 +1,6 @@
-//! Memory spaces and traffic counters.
+//! Memory traffic counters.
 
 use serde::{Deserialize, Serialize};
-
-/// The memory spaces of the simulated device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MemorySpace {
-    /// Large, high-latency off-chip memory shared by all SMs.
-    Global,
-    /// Small, low-latency on-chip memory shared by the threads of one block.
-    Shared,
-    /// Small read-only cached memory broadcast to all threads.
-    Constant,
-}
 
 /// Counts of memory operations recorded during a kernel execution.
 ///

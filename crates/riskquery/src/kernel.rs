@@ -16,7 +16,7 @@
 //! (256-bit AVX) and `F64x8` (512-bit AVX-512F), the wider two detected
 //! at runtime.  [`active_level`] caches the detection; `CATRISK_SIMD`
 //! (`scalar` / `f64x2` / `f64x4` / `f64x8`) caps it for experiments, and
-//! [`force_level`] overrides it programmatically for benches and the
+//! [`force_level`] overrides it programmatically for the gates and the
 //! bit-identity oracle.
 //!
 //! ## Why SIMD cannot change bits
@@ -43,9 +43,10 @@
 //! can rebalance skewed work (cut-split blocks from trial-sharded
 //! catalogs, uneven segment routing).  Block boundaries provably never
 //! change results (partials merge by exact adjacent-window
-//! concatenation), so granularity is a pure scheduling knob:
-//! `CATRISK_SCAN_CHUNKS` or [`set_scan_chunks_per_thread`] tune it,
-//! `1` reproduces the old static one-chunk-per-worker split.
+//! concatenation), so granularity is a pure scheduling constant (4);
+//! [`set_scan_chunks_per_thread`] overrides it for the invariance tests
+//! and the scheduling gate, where `1` reproduces the old static
+//! one-chunk-per-worker split.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
@@ -163,7 +164,7 @@ pub fn active_level() -> SimdLevel {
     }
 }
 
-/// Overrides [`active_level`] — the bench / oracle hook for pinning a
+/// Overrides [`active_level`] — the gate / oracle hook for pinning a
 /// lane width.  `None` clears the override and re-detects.  Concurrent
 /// scans observe the change on their next dispatch; results cannot
 /// differ, only speed (the bit-identity contract above).
@@ -452,7 +453,8 @@ pub fn retain_fused(year: &mut Vec<f64>, maxocc: &mut Vec<f64>, range: LossRange
     maxocc.truncate(keep);
 }
 
-/// Unset sentinel for the granularity knob (0 chunks is meaningless).
+/// No-override sentinel for the granularity setter (0 chunks is
+/// meaningless).
 const CHUNKS_UNSET: usize = 0;
 
 static SCAN_CHUNKS: AtomicUsize = AtomicUsize::new(CHUNKS_UNSET);
@@ -462,29 +464,20 @@ static SCAN_CHUNKS: AtomicUsize = AtomicUsize::new(CHUNKS_UNSET);
 /// that per-block overhead stays negligible.
 const DEFAULT_SCAN_CHUNKS: usize = 4;
 
-/// Trial-block chunks the scan creates per worker thread.  Defaults to
-/// 4; `CATRISK_SCAN_CHUNKS` or [`set_scan_chunks_per_thread`] override.
-/// `1` reproduces the old static one-block-per-worker split (the
-/// scheduling bench's baseline).
+/// Trial-block chunks the scan creates per worker thread: 4 unless
+/// [`set_scan_chunks_per_thread`] overrides it.  `1` reproduces the old
+/// static one-block-per-worker split (the scheduling gate's baseline).
 pub fn scan_chunks_per_thread() -> usize {
     match SCAN_CHUNKS.load(Ordering::Relaxed) {
-        CHUNKS_UNSET => {
-            let chunks = std::env::var("CATRISK_SCAN_CHUNKS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(DEFAULT_SCAN_CHUNKS);
-            SCAN_CHUNKS.store(chunks, Ordering::Relaxed);
-            chunks
-        }
+        CHUNKS_UNSET => DEFAULT_SCAN_CHUNKS,
         chunks => chunks,
     }
 }
 
-/// Overrides [`scan_chunks_per_thread`] programmatically (benches, the
-/// granularity-invariance tests).  `None` clears the override and
-/// re-reads the environment.  Granularity can never change result bits —
-/// only how evenly the blocks schedule.
+/// Overrides [`scan_chunks_per_thread`] programmatically (the scheduling
+/// gate, the granularity-invariance tests).  `None` clears the override.
+/// Granularity can never change result bits — only how evenly the blocks
+/// schedule.
 pub fn set_scan_chunks_per_thread(chunks: Option<usize>) {
     SCAN_CHUNKS.store(chunks.map_or(CHUNKS_UNSET, |c| c.max(1)), Ordering::Relaxed);
 }
@@ -589,11 +582,13 @@ mod tests {
     }
 
     #[test]
-    fn granularity_knob_round_trips() {
-        let ambient = scan_chunks_per_thread();
+    fn granularity_is_the_constant_unless_overridden() {
+        // A literal, not an "ambient" read: the environment is not an
+        // input, so no test runner's variables can move the default.
+        assert_eq!(scan_chunks_per_thread(), 4);
         set_scan_chunks_per_thread(Some(1));
         assert_eq!(scan_chunks_per_thread(), 1);
         set_scan_chunks_per_thread(None);
-        assert_eq!(scan_chunks_per_thread(), ambient);
+        assert_eq!(scan_chunks_per_thread(), 4);
     }
 }

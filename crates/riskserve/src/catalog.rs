@@ -418,8 +418,8 @@ impl StoreCatalog {
             // A duplicated shard would silently double-count every one of
             // its segments (or serve one trial window twice); reject it
             // (resolving symlinks — and lexically normalising when
-            // canonicalisation fails — so `--store x.clm --store ./x.clm`
-            // is caught too).
+            // canonicalisation fails — so `serve x.clm ./x.clm` is caught
+            // too).
             if !identities.insert(path_identity(&path)) {
                 return Err(StoreError::InvalidArgument(format!(
                     "shard `{}` is listed more than once",

@@ -33,8 +33,7 @@ pub enum RegionBacking {
 impl RegionBacking {
     /// The backing [`StoreReader::open`] uses on this host: [`Mapped`]
     /// where the platform supports it, overridable to the heap region
-    /// with `CATRISK_STORE_BACKING=loaded` (used by the cold-open bench
-    /// to compare the two).
+    /// with `CATRISK_STORE_BACKING=loaded`.
     ///
     /// [`Mapped`]: RegionBacking::Mapped
     pub fn default_for_host() -> RegionBacking {

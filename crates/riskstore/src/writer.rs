@@ -4,7 +4,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use catrisk_engine::ylt::{AnalysisOutput, YearLossTable};
+use catrisk_engine::ylt::YearLossTable;
 use catrisk_eventgen::peril::{Peril, Region};
 use catrisk_finterms::layer::LayerId;
 use catrisk_riskquery::{Dictionary, LineOfBusiness, SegmentMeta};
@@ -265,23 +265,6 @@ impl StoreWriter {
             occ.push(outcome.max_occurrence_loss);
         }
         self.append_segment(meta, &year, &occ)
-    }
-
-    /// Appends every layer of an engine run, `metas[i]` tagging
-    /// `output.layer(i)` — the persistent analogue of
-    /// `ResultStore::ingest_output`.
-    pub fn append_output(&mut self, output: &AnalysisOutput, metas: &[SegmentMeta]) -> Result<()> {
-        if output.num_layers() != metas.len() {
-            return Err(StoreError::InvalidArgument(format!(
-                "{} layers but {} segment tags",
-                output.num_layers(),
-                metas.len()
-            )));
-        }
-        for (ylt, meta) in output.layers().iter().zip(metas) {
-            self.append_ylt(ylt, *meta)?;
-        }
-        Ok(())
     }
 
     /// Writes one loss column as checksummed pages at the current file

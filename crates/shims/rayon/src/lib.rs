@@ -25,19 +25,18 @@
 //! back to scoped threads running the same claim loop, which keeps the
 //! pool deadlock-free.
 //!
-//! Environment knobs (shim extensions; upstream rayon equivalents in
-//! parentheses):
+//! Shim extensions:
 //!
-//! * `CATRISK_THREADS` (`RAYON_NUM_THREADS`) pins the default worker
-//!   count — both [`current_num_threads`]'s default and the size of the
-//!   persistent pool — so benches and tests can run deterministically
-//!   sized (`CATRISK_THREADS=1` runs every terminal inline on the
-//!   calling thread).
-//! * `CATRISK_CHUNKS_PER_WORKER` (no upstream equivalent) sets the
-//!   self-scheduling granularity; `1` reproduces the old static
-//!   one-contiguous-chunk-per-worker split, which is the baseline the
-//!   `scan_kernel` bench compares against.  [`set_chunks_per_worker`]
-//!   overrides it programmatically.
+//! * the `CATRISK_THREADS` environment variable (upstream:
+//!   `RAYON_NUM_THREADS`) pins the default worker count — both
+//!   [`current_num_threads`]'s default and the size of the persistent
+//!   pool — so benches and tests can run deterministically sized
+//!   (`CATRISK_THREADS=1` runs every terminal inline on the calling
+//!   thread);
+//! * [`set_chunks_per_worker`] (no upstream equivalent) overrides the
+//!   self-scheduling granularity, a constant 4 otherwise; `1` reproduces
+//!   the old static one-contiguous-chunk-per-worker split, which is the
+//!   baseline the `scan_kernel` gate compares against.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -67,7 +66,8 @@ fn default_threads() -> usize {
     })
 }
 
-/// Unset sentinel for the granularity knob (0 chunks is meaningless).
+/// No-override sentinel for the granularity setter (0 chunks is
+/// meaningless).
 const CHUNKS_UNSET: usize = 0;
 
 static CHUNKS_PER_WORKER: AtomicUsize = AtomicUsize::new(CHUNKS_UNSET);
@@ -78,27 +78,19 @@ static CHUNKS_PER_WORKER: AtomicUsize = AtomicUsize::new(CHUNKS_UNSET);
 const DEFAULT_CHUNKS_PER_WORKER: usize = 4;
 
 /// Chunks each terminal splits its items into, per worker thread (a
-/// shim extension; upstream rayon splits adaptively).  Defaults to 4;
-/// `CATRISK_CHUNKS_PER_WORKER` or [`set_chunks_per_worker`] override.
-/// `1` reproduces the old static one-chunk-per-worker split.
+/// shim extension; upstream rayon splits adaptively): 4 unless
+/// [`set_chunks_per_worker`] overrides it.  `1` reproduces the old static
+/// one-chunk-per-worker split.
 pub fn chunks_per_worker() -> usize {
     match CHUNKS_PER_WORKER.load(Ordering::Relaxed) {
-        CHUNKS_UNSET => {
-            let chunks = std::env::var("CATRISK_CHUNKS_PER_WORKER")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(DEFAULT_CHUNKS_PER_WORKER);
-            CHUNKS_PER_WORKER.store(chunks, Ordering::Relaxed);
-            chunks
-        }
+        CHUNKS_UNSET => DEFAULT_CHUNKS_PER_WORKER,
         chunks => chunks,
     }
 }
 
 /// Overrides [`chunks_per_worker`] programmatically (a shim extension
-/// used by scheduling benches and granularity-invariance tests).
-/// `None` clears the override and re-reads the environment.  Chunk
+/// used by the scheduling gate and granularity-invariance tests).
+/// `None` clears the override.  Chunk
 /// granularity never changes what a terminal returns — results are
 /// always collected in chunk order — only how evenly chunks schedule.
 pub fn set_chunks_per_worker(chunks: Option<usize>) {

@@ -12,7 +12,7 @@
 //!
 //! This crate provides that machinery with no external dependencies
 //! beyond [`rand`] (for the `RngCore`/`SeedableRng` traits) and
-//! [`rayon`] (for the deterministic parallel-map helper).
+//! [`rayon`] (for explicitly sized thread pools).
 //!
 //! ## Modules
 //!
@@ -22,10 +22,10 @@
 //! * [`distributions`] — samplers implemented from scratch: uniform,
 //!   exponential, normal, log-normal, gamma, beta, Pareto, Poisson,
 //!   negative binomial, Bernoulli and empirical/discrete distributions.
-//! * [`stats`] — Welford accumulators, quantiles, ECDFs and histograms.
-//! * [`sampling`] — alias-method sampling, reservoir sampling and
-//!   stratified index partitioning.
-//! * [`parallel`] — chunk partitioning and deterministic parallel map.
+//! * [`stats`] — Welford accumulators, quantiles and histograms.
+//! * [`sampling`] — alias-method sampling, shuffling and stratified index
+//!   partitioning.
+//! * [`parallel`] — explicitly sized thread pools.
 //! * [`timing`] — stopwatches and named phase timers.
 //!
 //! ## Quick example

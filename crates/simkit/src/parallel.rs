@@ -1,17 +1,10 @@
 //! Parallel execution helpers.
 //!
 //! The aggregate risk engine parallelises over trials ("a single thread is
-//! employed per trial" in the paper).  These helpers make that pattern
-//! deterministic and controllable:
-//!
-//! * [`build_pool`] creates a rayon thread pool of an explicit size, which is
-//!   how the Fig. 3a core-count sweep is driven;
-//! * [`par_map_indexed`] maps a function over `0..n` in parallel and returns
-//!   results in index order, so output never depends on scheduling;
-//! * [`chunked_par_map`] processes indices in fixed-size chunks, the CPU
-//!   analogue of the "chunking" used by the optimised GPU kernel.
+//! employed per trial" in the paper).  [`build_pool`] creates a rayon thread
+//! pool of an explicit size, which is how the Fig. 3a core-count sweep is
+//! driven.
 
-use rayon::prelude::*;
 use rayon::ThreadPool;
 
 /// Builds a rayon thread pool with exactly `threads` worker threads.
@@ -25,133 +18,13 @@ pub fn build_pool(threads: usize) -> ThreadPool {
         .expect("failed to build rayon thread pool")
 }
 
-/// Maps `f` over `0..n` in parallel on the global pool; results are returned
-/// in index order.
-pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync + Send,
-{
-    (0..n).into_par_iter().map(f).collect()
-}
-
-/// Maps `f` over `0..n` in parallel on a specific pool.
-pub fn par_map_indexed_on<T, F>(pool: &ThreadPool, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync + Send,
-{
-    pool.install(|| par_map_indexed(n, f))
-}
-
-/// Processes `0..n` in chunks of `chunk_size`, calling `f(chunk_range)` for
-/// each chunk in parallel, and concatenates the per-chunk outputs in chunk
-/// order.
-///
-/// `f` must return exactly `chunk.len()` results; this is checked.
-pub fn chunked_par_map<T, F>(n: usize, chunk_size: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync + Send,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let chunks: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk_size)
-        .map(|start| start..(start + chunk_size).min(n))
-        .collect();
-    let results: Vec<Vec<T>> = chunks
-        .into_par_iter()
-        .map(|range| {
-            let expected = range.len();
-            let out = f(range);
-            assert_eq!(
-                out.len(),
-                expected,
-                "chunk function returned wrong number of results"
-            );
-            out
-        })
-        .collect();
-    let mut flat = Vec::with_capacity(n);
-    for mut v in results {
-        flat.append(&mut v);
-    }
-    flat
-}
-
-/// Fold-then-reduce over `0..n` in parallel: each worker folds a private
-/// accumulator with `fold`, accumulators are combined with `combine`.
-///
-/// `identity` must be a true identity for `combine`.
-pub fn par_fold<A, Fo, C, I>(n: usize, identity: I, fold: Fo, combine: C) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync + Send,
-    Fo: Fn(A, usize) -> A + Sync + Send,
-    C: Fn(A, A) -> A + Sync + Send,
-{
-    (0..n)
-        .into_par_iter()
-        .fold(&identity, fold)
-        .reduce(&identity, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn pool_has_requested_threads() {
         let pool = build_pool(3);
         assert_eq!(pool.current_num_threads(), 3);
-    }
-
-    #[test]
-    fn par_map_preserves_order() {
-        let out = par_map_indexed(1000, |i| i * 2);
-        assert_eq!(out.len(), 1000);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-    }
-
-    #[test]
-    fn par_map_on_pool_runs_inside_pool() {
-        let pool = build_pool(2);
-        let seen = AtomicUsize::new(0);
-        let out = par_map_indexed_on(&pool, 100, |i| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            i + 1
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 100);
-        assert_eq!(out[99], 100);
-    }
-
-    #[test]
-    fn chunked_map_equals_plain_map() {
-        for chunk in [1, 3, 7, 100, 1000] {
-            let out = chunked_par_map(250, chunk, |range| range.map(|i| i * i).collect());
-            let expected: Vec<usize> = (0..250).map(|i| i * i).collect();
-            assert_eq!(out, expected, "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn chunked_map_empty_input() {
-        let out: Vec<usize> = chunked_par_map(0, 4, |range| range.collect());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn chunked_map_zero_chunk_panics() {
-        chunked_par_map(10, 0, |range| range.collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_fold_sums_correctly() {
-        let total = par_fold(10_000, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
-        assert_eq!(total, 10_000 * 9_999 / 2);
     }
 }

@@ -1,5 +1,5 @@
-//! Fast sampling utilities: alias tables, reservoir sampling and
-//! stratified index partitioning.
+//! Fast sampling utilities: alias tables, shuffling and stratified index
+//! partitioning.
 //!
 //! The Year Event Table generator draws hundreds of millions of events from
 //! a weighted catalog, so O(1) weighted sampling matters; the alias method
@@ -90,54 +90,6 @@ impl AliasTable {
     }
 }
 
-/// Reservoir sampling (algorithm R): selects `k` items uniformly from a
-/// stream of unknown length.
-#[derive(Debug, Clone)]
-pub struct Reservoir<T> {
-    capacity: usize,
-    seen: u64,
-    items: Vec<T>,
-}
-
-impl<T> Reservoir<T> {
-    /// Creates a reservoir holding at most `capacity` items.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            seen: 0,
-            items: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Offers one item from the stream.
-    pub fn offer(&mut self, item: T, rng: &mut SimRng) {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-        } else if self.capacity > 0 {
-            let j = rng.below(self.seen);
-            if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
-            }
-        }
-    }
-
-    /// Number of items offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The sampled items (at most `capacity`).
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Consumes the reservoir and returns the sample.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-}
-
 /// Splits `0..n` into `parts` contiguous, nearly equal ranges.
 ///
 /// Used for stratified assignment of trials to worker threads; every index
@@ -165,32 +117,6 @@ pub fn shuffle<T>(items: &mut [T], rng: &mut SimRng) {
         let j = rng.below((i + 1) as u64) as usize;
         items.swap(i, j);
     }
-}
-
-/// Samples `k` distinct indices from `0..n` (Floyd's algorithm when `k << n`,
-/// partial shuffle otherwise).  The result is not sorted.
-pub fn sample_without_replacement(n: usize, k: usize, rng: &mut SimRng) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} items from a population of {n}");
-    if k == 0 {
-        return vec![];
-    }
-    if k * 4 >= n {
-        let mut all: Vec<usize> = (0..n).collect();
-        shuffle(&mut all, rng);
-        all.truncate(k);
-        return all;
-    }
-    // Floyd's algorithm.
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.below((j + 1) as u64) as usize;
-        if chosen.contains(&t) {
-            chosen.push(j);
-        } else {
-            chosen.push(t);
-        }
-    }
-    chosen
 }
 
 #[cfg(test)]
@@ -244,37 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_uniformity() {
-        let mut rng = RngFactory::new(3).stream(0);
-        // Each of 0..100 should be selected with probability 10/100.
-        let mut hits = vec![0u32; 100];
-        for _ in 0..2_000 {
-            let mut r = Reservoir::new(10);
-            for i in 0..100u32 {
-                r.offer(i, &mut rng);
-            }
-            assert_eq!(r.seen(), 100);
-            assert_eq!(r.items().len(), 10);
-            for &i in r.items() {
-                hits[i as usize] += 1;
-            }
-        }
-        for &h in &hits {
-            assert!((f64::from(h) - 200.0).abs() < 80.0, "hit count {h}");
-        }
-    }
-
-    #[test]
-    fn reservoir_smaller_stream_keeps_everything() {
-        let mut rng = RngFactory::new(4).stream(0);
-        let mut r = Reservoir::new(10);
-        for i in 0..5 {
-            r.offer(i, &mut rng);
-        }
-        assert_eq!(r.into_items(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn stratify_covers_everything_once() {
         for (n, parts) in [(10, 3), (7, 7), (5, 9), (1000, 8), (0, 4), (4, 0)] {
             let ranges = stratify(n, parts);
@@ -308,26 +203,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_without_replacement_distinct() {
-        let mut rng = RngFactory::new(6).stream(0);
-        for (n, k) in [(100, 5), (100, 80), (10, 10), (10, 0)] {
-            let s = sample_without_replacement(n, k, &mut rng);
-            assert_eq!(s.len(), k);
-            let mut sorted = s.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), k, "duplicates for n={n} k={k}");
-            assert!(s.iter().all(|&i| i < n));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn sample_without_replacement_too_many_panics() {
-        let mut rng = RngFactory::new(7).stream(0);
-        sample_without_replacement(3, 4, &mut rng);
     }
 }

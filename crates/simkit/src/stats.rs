@@ -1,4 +1,4 @@
-//! Running statistics, quantiles, empirical CDFs and histograms.
+//! Running statistics, quantiles and histograms.
 //!
 //! These primitives back the Year Loss Table analytics in `catrisk-metrics`
 //! (PML, VaR, TVaR) and the distribution checks in the test suites.
@@ -226,54 +226,6 @@ pub fn tail_mean_sorted(sorted: &[f64], q: f64) -> f64 {
     tail.iter().sum::<f64>() / tail.len() as f64
 }
 
-/// Empirical cumulative distribution function over a fixed sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Builds an ECDF from a (possibly unsorted) sample.
-    pub fn new(mut values: Vec<f64>) -> Self {
-        values.sort_by(|a, b| a.partial_cmp(b).expect("NaN in ECDF input"));
-        Self { sorted: values }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when the ECDF holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// P(X <= x).
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// P(X > x) — the exceedance probability.
-    pub fn exceedance(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
-    }
-
-    /// Quantile (inverse CDF) via linear interpolation.
-    pub fn quantile(&self, q: f64) -> f64 {
-        quantile_sorted(&self.sorted, q)
-    }
-
-    /// Underlying sorted sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-}
-
 /// Fixed-width histogram over `[lo, hi)` with an overflow and underflow bin.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -430,20 +382,6 @@ mod tests {
         assert!((tail_mean_sorted(&v, 0.0) - 5.5).abs() < 1e-12);
         // q = 1 degenerates to the maximum.
         assert_eq!(tail_mean_sorted(&v, 1.0), 10.0);
-    }
-
-    #[test]
-    fn ecdf_cdf_and_exceedance() {
-        let e = Ecdf::new(vec![3.0, 1.0, 2.0, 4.0]);
-        assert_eq!(e.len(), 4);
-        assert!(!e.is_empty());
-        assert_eq!(e.cdf(0.5), 0.0);
-        assert_eq!(e.cdf(1.0), 0.25);
-        assert_eq!(e.cdf(2.5), 0.5);
-        assert_eq!(e.cdf(10.0), 1.0);
-        assert_eq!(e.exceedance(2.5), 0.5);
-        assert_eq!(e.quantile(0.5), 2.5);
-        assert_eq!(e.sorted_values(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -142,49 +142,6 @@ impl SharedPhaseTimer {
     }
 }
 
-/// Measures throughput: items processed per second over a window.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputMeter {
-    started: Instant,
-    items: u64,
-}
-
-impl Default for ThroughputMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThroughputMeter {
-    /// Creates a meter starting now with zero items.
-    pub fn new() -> Self {
-        Self {
-            started: Instant::now(),
-            items: 0,
-        }
-    }
-
-    /// Records `n` processed items.
-    pub fn record(&mut self, n: u64) {
-        self.items += n;
-    }
-
-    /// Total items recorded.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    /// Items per second since creation (0 if no time has passed).
-    pub fn rate(&self) -> f64 {
-        let secs = self.started.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.items as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,15 +223,5 @@ mod tests {
         let snap = shared.snapshot();
         assert_eq!(snap.get("lookup"), Duration::from_millis(40));
         assert_eq!(snap.get("extra"), Duration::from_millis(4));
-    }
-
-    #[test]
-    fn throughput_meter_counts() {
-        let mut m = ThroughputMeter::new();
-        m.record(100);
-        m.record(50);
-        assert_eq!(m.items(), 150);
-        sleep(Duration::from_millis(5));
-        assert!(m.rate() > 0.0);
     }
 }

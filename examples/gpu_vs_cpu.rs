@@ -1,7 +1,7 @@
 //! Compare every engine variant — sequential, multi-core, chunked CPU, and
 //! the two simulated-GPU kernels — on one workload, verifying that they all
 //! produce identical Year Loss Tables (the paper's implicit correctness
-//! criterion) and reporting their (wall-clock or simulated) runtimes.
+//! requirement) and reporting their (wall-clock or simulated) runtimes.
 //!
 //! ```text
 //! cargo run --release --example gpu_vs_cpu

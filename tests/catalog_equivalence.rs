@@ -26,7 +26,7 @@ use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
 use catrisk_eventgen::peril::{Peril, Region};
 use catrisk_finterms::layer::LayerId;
 use catrisk_riskquery::prelude::*;
-use catrisk_riskserve::{Server, ServerConfig, ShardAxis, StoreCatalog};
+use catrisk_riskserve::{Server, ServerConfig, ShardAxis, SourceProvider, StoreCatalog};
 use catrisk_riskstore::{StoreOptions, StoreWriter};
 use catrisk_simkit::rng::RngFactory;
 
@@ -251,6 +251,16 @@ fn temp_shard(name: &str, index: usize) -> PathBuf {
     path
 }
 
+/// One fused batch over the catalog's current snapshot — no server, no
+/// cache: the raw on-disk union / stitch.
+fn snapshot_batch(catalog: &StoreCatalog, queries: &[Query]) -> Vec<QueryResult> {
+    catalog.with_source(|snapshot| {
+        QuerySession::new(snapshot.source)
+            .run(queries)
+            .expect("snapshot batch")
+    })
+}
+
 fn write_shard(path: &PathBuf, trials: usize, segments: &[RawSegment]) {
     let mut writer = StoreWriter::create(path, trials).unwrap();
     for segment in segments {
@@ -282,16 +292,23 @@ fn catalog_server_refresh_and_cache_match_sequential_session() {
     write_shard(&path_b, trials, initial_b);
 
     let catalog = StoreCatalog::open([&path_a, &path_b]).unwrap();
-    let server = Server::new(catalog, ServerConfig::default());
+    assert_eq!(catalog.num_shards(), 2);
     let queries = query_batch(trials);
 
     // Phase 1: the catalog over the initial commits ≡ a single store
-    // holding shard A's then shard B's segments.
+    // holding shard A's then shard B's segments — as a raw snapshot
+    // first, then through the server.
     let mut reference = ResultStore::new(trials);
     for segment in initial_a.iter().chain(initial_b) {
         ingest(&mut reference, segment);
     }
     let expected = QuerySession::new(&reference).run(&queries).unwrap();
+    assert_eq!(
+        snapshot_batch(&catalog, &queries),
+        expected,
+        "the on-disk union diverged from the in-memory store"
+    );
+    let server = Server::new(catalog, ServerConfig::default());
     for (query, expected) in queries.iter().zip(&expected) {
         assert_eq!(
             &server.query(query.clone()).unwrap().result,
@@ -415,7 +432,7 @@ fn trial_sharded_server_rescans_only_the_refreshed_shard() {
 
     let catalog = StoreCatalog::open(&paths).unwrap();
     assert_eq!(catalog.axis(), ShardAxis::Trial);
-    let server = Server::new(catalog, ServerConfig::default());
+    assert_eq!(catalog.num_shards(), 3);
     let queries = query_batch(trials);
 
     let mut reference = ResultStore::new(trials);
@@ -423,6 +440,12 @@ fn trial_sharded_server_rescans_only_the_refreshed_shard() {
         ingest(&mut reference, segment);
     }
     let expected = QuerySession::new(&reference).run(&queries).unwrap();
+    assert_eq!(
+        snapshot_batch(&catalog, &queries),
+        expected,
+        "the on-disk stitch diverged from the in-memory store"
+    );
+    let server = Server::new(catalog, ServerConfig::default());
     for (query, expected) in queries.iter().zip(&expected) {
         assert_eq!(
             &server.query(query.clone()).unwrap().result,
@@ -610,7 +633,12 @@ fn segment_sharded_server_rescans_only_the_refreshed_shard() {
     writer
         .append_ylt(
             &YearLossTable::new(LayerId(9), extra.outcomes.clone()),
-            SegmentMeta::new(LayerId(9), extra.meta.peril, extra.meta.region, extra.meta.lob),
+            SegmentMeta::new(
+                LayerId(9),
+                extra.meta.peril,
+                extra.meta.region,
+                extra.meta.lob,
+            ),
         )
         .unwrap();
     writer.commit().unwrap();
@@ -623,7 +651,12 @@ fn segment_sharded_server_rescans_only_the_refreshed_shard() {
     reference
         .ingest(
             &YearLossTable::new(LayerId(9), extra.outcomes.clone()),
-            SegmentMeta::new(LayerId(9), extra.meta.peril, extra.meta.region, extra.meta.lob),
+            SegmentMeta::new(
+                LayerId(9),
+                extra.meta.peril,
+                extra.meta.region,
+                extra.meta.lob,
+            ),
         )
         .unwrap();
     let expected_b = QuerySession::new(&reference).run(&queries).unwrap();
@@ -687,7 +720,12 @@ fn segment_sharded_server_rescans_only_the_refreshed_shard() {
     reference
         .ingest(
             &YearLossTable::new(LayerId(9), extra.outcomes.clone()),
-            SegmentMeta::new(LayerId(9), extra.meta.peril, extra.meta.region, extra.meta.lob),
+            SegmentMeta::new(
+                LayerId(9),
+                extra.meta.peril,
+                extra.meta.region,
+                extra.meta.lob,
+            ),
         )
         .unwrap();
     let expected_a = QuerySession::new(&reference).run(&queries).unwrap();
