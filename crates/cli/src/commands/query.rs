@@ -14,10 +14,7 @@ use catrisk_engine::sequential::SequentialEngine;
 use catrisk_engine::streaming::StreamingEngine;
 use catrisk_engine::ylt::AnalysisOutput;
 use catrisk_finterms::terms::LayerTerms;
-use catrisk_riskquery::{
-    execute, parse_group_by, parse_select, parse_where, LineOfBusiness, QueryBuilder,
-    SegmentedBook, SegmentedInput,
-};
+use catrisk_riskquery::{execute, parse_query, LineOfBusiness, SegmentedBook, SegmentedInput};
 use catrisk_simkit::timing::Stopwatch;
 
 use super::world::{World, WorldConfig};
@@ -76,7 +73,7 @@ pub fn run(options: &Options) -> Result<(), String> {
 
     // Assemble the query up front so malformed input fails fast, before the
     // expensive world build.
-    let query = build_query(&select, &where_clause, &group_by)?;
+    let query = parse_query(&select, &where_clause, &group_by).map_err(|e| e.to_string())?;
     if !ENGINES.contains(&engine.as_str()) {
         return Err(unknown_engine(&engine));
     }
@@ -139,47 +136,6 @@ pub(crate) fn print_result(
         println!("{result}");
     }
     Ok(())
-}
-
-/// Parses the three query clauses into a validated
-/// [`Query`](catrisk_riskquery::Query) (shared by `query` and
-/// `store query`).
-pub(crate) fn build_query(
-    select: &str,
-    where_clause: &str,
-    group_by: &str,
-) -> Result<catrisk_riskquery::Query, String> {
-    let mut builder = QueryBuilder::new();
-    for aggregate in parse_select(select).map_err(|e| e.to_string())? {
-        builder = builder.aggregate(aggregate);
-    }
-    if !where_clause.is_empty() {
-        let filter = parse_where(where_clause).map_err(|e| e.to_string())?;
-        if let Some(perils) = filter.perils {
-            builder = builder.with_perils(perils);
-        }
-        if let Some(regions) = filter.regions {
-            builder = builder.in_regions(regions);
-        }
-        if let Some(lobs) = filter.lobs {
-            builder = builder.for_lobs(lobs);
-        }
-        if let Some(layers) = filter.layers {
-            builder = builder.in_layers(layers);
-        }
-        if let Some((start, end)) = filter.trials {
-            builder = builder.trials(start..end);
-        }
-        if let Some(range) = filter.loss {
-            builder = builder.loss_in(range.min, range.max);
-        }
-    }
-    if !group_by.is_empty() {
-        for dim in parse_group_by(group_by).map_err(|e| e.to_string())? {
-            builder = builder.group_by(dim);
-        }
-    }
-    builder.build().map_err(|e| e.to_string())
 }
 
 /// Builds the synthetic world and slices it into tagged `(book, peril)`

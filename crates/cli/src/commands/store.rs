@@ -7,14 +7,12 @@
 //! [`StreamIngestor`]).  `store query` reopens such a file — from this or
 //! any earlier process — and answers ad-hoc queries over it.
 
-use catrisk_riskquery::execute;
+use catrisk_riskquery::{execute, parse_query, Dimension};
 use catrisk_riskserve::{SourceProvider, StoreCatalog};
 use catrisk_riskstore::{StoreOptions, StoreReader, StoreWriter, StreamIngestor};
 use catrisk_simkit::timing::Stopwatch;
 
-use super::query::{
-    build_query, build_segmented_world, print_result, run_engine, unknown_engine, ENGINES,
-};
+use super::query::{build_segmented_world, print_result, run_engine, unknown_engine, ENGINES};
 use super::world::WorldConfig;
 use super::Options;
 
@@ -237,7 +235,7 @@ fn query(options: &Options) -> Result<(), String> {
     let where_clause = options.get("where", String::new())?;
     let group_by = options.get("group-by", String::new())?;
     let as_json = options.has_flag("json");
-    let query = build_query(&select, &where_clause, &group_by)?;
+    let query = parse_query(&select, &where_clause, &group_by).map_err(|e| e.to_string())?;
 
     let sw = Stopwatch::start();
     let reader = StoreReader::open(&input).map_err(|e| e.to_string())?;
@@ -360,6 +358,10 @@ fn catalog(positionals: &[String], options: &Options) -> Result<(), String> {
     println!("{}", catalog.describe());
     catalog.with_source(|snapshot| {
         let union = snapshot.source;
+        let distinct = |dim| {
+            let values = union.metas().iter().map(|meta| meta.value(dim));
+            values.collect::<std::collections::HashSet<_>>().len()
+        };
         println!(
             "union: {} shards along the {} axis, {} segments x {} trials (generations \
              {:?}); dictionaries: {} layers, {} perils, {} regions, {} lobs  [{:.4}s]",
@@ -368,10 +370,10 @@ fn catalog(positionals: &[String], options: &Options) -> Result<(), String> {
             union.num_segments(),
             union.num_trials(),
             snapshot.generations,
-            union.layer_dict().len(),
-            union.peril_dict().len(),
-            union.region_dict().len(),
-            union.lob_dict().len(),
+            distinct(Dimension::Layer),
+            distinct(Dimension::Peril),
+            distinct(Dimension::Region),
+            distinct(Dimension::Lob),
             sw.elapsed_secs()
         );
     });

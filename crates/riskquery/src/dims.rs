@@ -6,6 +6,8 @@ use catrisk_catmodel::exposure::Occupancy;
 use catrisk_eventgen::peril::{Peril, Region};
 use catrisk_finterms::layer::LayerId;
 
+use crate::result::DimValue;
+
 /// Line of business: the underwriting classification a segment's losses
 /// belong to.  This is the third slicing dimension named by QuPARA (after
 /// peril and region); the synthetic pipeline derives it from the exposure
@@ -121,6 +123,16 @@ impl SegmentMeta {
             peril,
             region,
             lob,
+        }
+    }
+
+    /// The segment's value along one dimension — one group-key component.
+    pub fn value(&self, dim: Dimension) -> DimValue {
+        match dim {
+            Dimension::Layer => DimValue::Layer(self.layer),
+            Dimension::Peril => DimValue::Peril(self.peril),
+            Dimension::Region => DimValue::Region(self.region),
+            Dimension::Lob => DimValue::Lob(self.lob),
         }
     }
 }

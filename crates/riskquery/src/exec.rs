@@ -426,7 +426,7 @@ pub fn finalize<'q>(
 /// [`ResultStore`](crate::store::ResultStore) or a persistent reader such
 /// as `catrisk-riskstore`'s `StoreReader`.
 ///
-/// Pipeline: plan (filter pushdown over dictionary codes) → parallel scan
+/// Pipeline: plan (filter pushdown over segment tags) → parallel scan
 /// (per-trial-block partial aggregation, exact combine) → finalisation
 /// (metric kernels per group).  The scan is the plain unfused
 /// `scan_window` loop on purpose: every equivalence battery compares

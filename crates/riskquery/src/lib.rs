@@ -18,14 +18,14 @@
 //! |--------------------------------------|---------------------------------------------|
 //! | distributed file of per-layer YLTs   | [`ResultStore`]: columnar loss vectors      |
 //! | query (filters + grouping + metrics) | [`Query`] AST built by [`QueryBuilder`]     |
-//! | input-format filter pushdown         | [`plan`]: dictionary-coded segment pruning  |
+//! | input-format filter pushdown         | [`plan`]: segment pruning by tag            |
 //! | mapper: per-split partial aggregates | [`exec`]: per-shard [`PartialAggregate`]    |
 //! | combiner/reducer: merge + finalize   | monoid `combine` + metric finalisation      |
 //! | batch of queries per job             | [`QuerySession`]: one scan, many queries    |
 //!
 //! A *segment* is the store's unit of data: one YLT (one loss value per
-//! trial) tagged with dictionary-encoded dimensions — layer, peril, region,
-//! line of business.  Filters prune whole segments by dictionary code
+//! trial) tagged with its dimensions — layer, peril, region, line of
+//! business ([`SegmentMeta`]).  Filters prune whole segments by tag
 //! without touching loss data (pushdown); grouping assigns surviving
 //! segments to groups; per-trial loss vectors of each group are summed
 //! (year losses) and max-merged (occurrence losses) shard-by-shard and the
@@ -72,8 +72,8 @@
 //! (whose reader hands the scan zero-copy column slices), and against a
 //! whole catalog of such stores at once along either sharding axis:
 //! [`ShardedSource`] is the **segment**-union view (shards own disjoint
-//! segment sets over one shared trial axis; dictionaries merge, global
-//! segment indices remap to shard-local column offsets), while
+//! segment sets over one shared trial axis; their tags concatenate, global
+//! segment indices map to shard-local column offsets), while
 //! [`TrialShardedSource`] is the **trial**-union view (shards own
 //! disjoint trial windows of the *same* segments — the paper's own
 //! partition axis — stitched by the adjacent-window monoid, with
@@ -89,7 +89,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod dict;
 pub mod dims;
 pub mod exec;
 pub mod kernel;
@@ -104,11 +103,10 @@ pub mod sharded;
 pub mod store;
 pub mod trial_sharded;
 
-pub use dict::Dictionary;
 pub use dims::{Dimension, LineOfBusiness, SegmentMeta};
 pub use exec::{execute, finalize, PartialAggregate};
 pub use kernel::SimdLevel;
-pub use parse::{parse_group_by, parse_select, parse_where};
+pub use parse::{parse_group_by, parse_query, parse_select, parse_where};
 pub use partial::{
     combine, combine_trial_partial_refs, group_by_key, plan_cells, scan_trial_partial,
     scan_trial_partials_fused, split_plan_by_segments, Cell, Grid, TrialPartial,
@@ -118,7 +116,7 @@ pub use query::{Aggregate, Basis, Filter, LossRange, Query, QueryBuilder};
 pub use result::{AggValue, DimValue, QueryResult, ResultRow};
 pub use segmentation::{split_pairs_by_peril, SegmentedBook, SegmentedInput};
 pub use session::QuerySession;
-pub use sharded::{MergedSchema, ShardedSource};
+pub use sharded::ShardedSource;
 pub use store::{ResultStore, SegmentSource};
 pub use trial_sharded::TrialShardedSource;
 

@@ -22,7 +22,7 @@
 use catrisk_eventgen::peril::{Peril, Region};
 
 use crate::dims::{Dimension, LineOfBusiness};
-use crate::query::{Aggregate, Basis, Filter};
+use crate::query::{Aggregate, Basis, Filter, Query, QueryBuilder};
 use crate::{QueryError, Result};
 
 fn parse_err(msg: impl Into<String>) -> QueryError {
@@ -261,6 +261,22 @@ pub fn parse_where(text: &str) -> Result<Filter> {
     Ok(filter)
 }
 
+/// Parses the three clause texts into a validated [`Query`] — the one
+/// mapping behind the CLI's `--select` / `--where` / `--group-by` and the
+/// wire protocol's `select … where … group by …`.  An empty where or
+/// group-by text means no constraint and no grouping.
+pub fn parse_query(select: &str, where_clause: &str, group_by: &str) -> Result<Query> {
+    let aggregates = parse_select(select)?;
+    let mut builder = QueryBuilder::new().filter(parse_where(where_clause)?);
+    for aggregate in aggregates {
+        builder = builder.aggregate(aggregate);
+    }
+    for dim in parse_group_by(group_by)? {
+        builder = builder.group_by(dim);
+    }
+    builder.build()
+}
+
 /// Parses a group-by clause into dimensions.
 pub fn parse_group_by(text: &str) -> Result<Vec<Dimension>> {
     split_commas(text)
@@ -396,5 +412,30 @@ mod tests {
         );
         assert_eq!(parse_group_by("LOB").unwrap(), vec![Dimension::Lob]);
         assert!(parse_group_by("continent").is_err());
+    }
+
+    #[test]
+    fn query_clauses_build_one_validated_query() {
+        let query = parse_query("mean, tvar(0.99)", "peril=HU trial=0..10", "region").unwrap();
+        let expected = QueryBuilder::new()
+            .with_perils([Peril::Hurricane])
+            .trials(0..10)
+            .group_by(Dimension::Region)
+            .aggregate(Aggregate::Mean)
+            .aggregate(Aggregate::Tvar { level: 0.99 })
+            .build()
+            .unwrap();
+        assert_eq!(query, expected);
+        // Empty where / group-by texts mean no constraint, no grouping.
+        assert_eq!(parse_query("mean", "", "").unwrap().filter, Filter::all());
+        // Parse errors and builder validation both surface.
+        assert!(matches!(
+            parse_query("nope", "", ""),
+            Err(QueryError::Parse(_))
+        ));
+        assert!(matches!(
+            parse_query("mean", "trial=9..3", ""),
+            Err(QueryError::InvalidQuery(_))
+        ));
     }
 }

@@ -1,30 +1,12 @@
-//! Query planning: filter pushdown over dictionary codes and group-key
+//! Query planning: filter pushdown over segment tags and group-key
 //! assignment, before any loss data is touched.
 
 use std::collections::HashMap;
 
-use crate::dims::Dimension;
 use crate::query::{Filter, LossRange, Query};
 use crate::result::DimValue;
 use crate::store::SegmentSource;
 use crate::{QueryError, Result};
-
-/// A per-dimension predicate resolved to dictionary codes: `None` passes
-/// everything, `Some(codes)` passes the listed codes only.
-///
-/// Filter values that were never interned by the store simply resolve to no
-/// code: the predicate then (correctly) matches no segment on that value.
-#[derive(Debug, Clone)]
-struct CodePredicate(Option<Vec<u32>>);
-
-impl CodePredicate {
-    fn passes(&self, code: u32) -> bool {
-        match &self.0 {
-            None => true,
-            Some(codes) => codes.contains(&code),
-        }
-    }
-}
 
 /// The resolved execution plan of one query against one store: the
 /// surviving segments (filter pushdown), their group assignment, and the
@@ -43,7 +25,7 @@ pub struct QueryPlan {
     pub segments: Vec<usize>,
     /// `groups[i]` is the group index of `segments[i]`.
     pub groups: Vec<usize>,
-    /// Decoded group keys, indexed by group (ordered by first appearance in
+    /// Group keys, indexed by group (ordered by first appearance in
     /// segment order; [`finalize`](crate::exec::finalize) sorts the rows
     /// canonically).
     pub keys: Vec<Vec<DimValue>>,
@@ -54,8 +36,8 @@ impl QueryPlan {
     /// materialising the plan.
     ///
     /// Trial-window resolution is the only fallible step of
-    /// [`QueryPlan::new`] (predicate resolution and group-key decoding
-    /// are total), so this is the complete admission check — a serving
+    /// [`QueryPlan::new`] (filtering and grouping by segment tags are
+    /// total), so this is the complete admission check — a serving
     /// front-end calls it per submit at O(1) instead of paying the
     /// O(segments) planning pass it would immediately discard.
     pub fn validate<S: SegmentSource + ?Sized>(store: &S, query: &Query) -> Result<()> {
@@ -74,42 +56,22 @@ impl QueryPlan {
 
     /// Plans `query` against `store`.
     pub fn new<S: SegmentSource + ?Sized>(store: &S, query: &Query) -> Result<QueryPlan> {
-        let (trial_start, trial_end) = resolve_trials(store, &query.filter)?;
-        let predicates = resolve_predicates(store, &query.filter);
+        let (trial_start, trial_end) = resolve_trial_window(store.num_trials(), &query.filter)?;
 
         let mut segments = Vec::new();
         let mut groups = Vec::new();
         let mut keys: Vec<Vec<DimValue>> = Vec::new();
-        let mut key_index: HashMap<Vec<u32>, usize> = HashMap::new();
+        let mut key_index: HashMap<Vec<DimValue>, usize> = HashMap::new();
 
-        for segment in 0..store.num_segments() {
-            let codes = [
-                store.layer_codes()[segment],
-                store.peril_codes()[segment],
-                store.region_codes()[segment],
-                store.lob_codes()[segment],
-            ];
-            let pass = predicates
-                .iter()
-                .zip(codes)
-                .all(|(predicate, code)| predicate.passes(code));
-            if !pass {
+        for (segment, meta) in store.metas().iter().enumerate() {
+            if !query.filter.matches(meta) {
                 continue;
             }
-            let group_code: Vec<u32> = query
-                .group_by
-                .iter()
-                .map(|dim| codes[dim_index(*dim)])
-                .collect();
-            let group = match key_index.get(&group_code) {
-                Some(&g) => g,
-                None => {
-                    let g = keys.len();
-                    keys.push(decode_key(store, &query.group_by, &group_code));
-                    key_index.insert(group_code, g);
-                    g
-                }
-            };
+            let key: Vec<DimValue> = query.group_by.iter().map(|&dim| meta.value(dim)).collect();
+            let group = *key_index.entry(key).or_insert_with_key(|key| {
+                keys.push(key.clone());
+                keys.len() - 1
+            });
             segments.push(segment);
             groups.push(group);
         }
@@ -183,35 +145,6 @@ pub struct ScanAttribution {
     pub bytes: usize,
 }
 
-fn dim_index(dim: Dimension) -> usize {
-    match dim {
-        Dimension::Layer => 0,
-        Dimension::Peril => 1,
-        Dimension::Region => 2,
-        Dimension::Lob => 3,
-    }
-}
-
-fn decode_key<S: SegmentSource + ?Sized>(
-    store: &S,
-    dims: &[Dimension],
-    codes: &[u32],
-) -> Vec<DimValue> {
-    dims.iter()
-        .zip(codes)
-        .map(|(dim, &code)| match dim {
-            Dimension::Layer => DimValue::Layer(*store.layer_dict().value(code)),
-            Dimension::Peril => DimValue::Peril(*store.peril_dict().value(code)),
-            Dimension::Region => DimValue::Region(*store.region_dict().value(code)),
-            Dimension::Lob => DimValue::Lob(*store.lob_dict().value(code)),
-        })
-        .collect()
-}
-
-fn resolve_trials<S: SegmentSource + ?Sized>(store: &S, filter: &Filter) -> Result<(usize, usize)> {
-    resolve_trial_window(store.num_trials(), filter)
-}
-
 fn resolve_trial_window(num_trials: usize, filter: &Filter) -> Result<(usize, usize)> {
     if num_trials == 0 {
         return Err(QueryError::Store(
@@ -237,44 +170,10 @@ fn resolve_trial_window(num_trials: usize, filter: &Filter) -> Result<(usize, us
     }
 }
 
-fn resolve_predicates<S: SegmentSource + ?Sized>(store: &S, filter: &Filter) -> [CodePredicate; 4] {
-    let layer = filter.layers.as_ref().map(|layers| {
-        layers
-            .iter()
-            .filter_map(|&id| {
-                store
-                    .layer_dict()
-                    .code_of(&catrisk_finterms::layer::LayerId(id))
-            })
-            .collect()
-    });
-    let peril = filter.perils.as_ref().map(|ps| {
-        ps.iter()
-            .filter_map(|p| store.peril_dict().code_of(p))
-            .collect()
-    });
-    let region = filter.regions.as_ref().map(|rs| {
-        rs.iter()
-            .filter_map(|r| store.region_dict().code_of(r))
-            .collect()
-    });
-    let lob = filter.lobs.as_ref().map(|ls| {
-        ls.iter()
-            .filter_map(|l| store.lob_dict().code_of(l))
-            .collect()
-    });
-    [
-        CodePredicate(layer),
-        CodePredicate(peril),
-        CodePredicate(region),
-        CodePredicate(lob),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dims::{LineOfBusiness, SegmentMeta};
+    use crate::dims::{Dimension, LineOfBusiness, SegmentMeta};
     use crate::query::{Aggregate, QueryBuilder};
     use crate::store::ResultStore;
     use catrisk_engine::ylt::{TrialOutcome, YearLossTable};

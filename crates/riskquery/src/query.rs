@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use catrisk_eventgen::peril::{Peril, Region};
 
-use crate::dims::{Dimension, LineOfBusiness};
+use crate::dims::{Dimension, LineOfBusiness, SegmentMeta};
 use crate::{QueryError, Result};
 
 /// Which loss column an exceedance-style aggregate is computed over.
@@ -128,6 +128,19 @@ impl Filter {
     /// The unconstrained filter.
     pub fn all() -> Self {
         Self::default()
+    }
+
+    /// True when a segment tagged `meta` passes every dimension list —
+    /// the pushdown test, decided before any loss data is touched (the
+    /// trial window and loss range apply inside the scan instead).
+    pub fn matches(&self, meta: &SegmentMeta) -> bool {
+        fn allows<T: PartialEq>(list: &Option<Vec<T>>, value: T) -> bool {
+            list.as_ref().is_none_or(|values| values.contains(&value))
+        }
+        allows(&self.layers, meta.layer.0)
+            && allows(&self.perils, meta.peril)
+            && allows(&self.regions, meta.region)
+            && allows(&self.lobs, meta.lob)
     }
 }
 
@@ -338,6 +351,14 @@ impl QueryBuilder {
     /// Keeps only segments belonging to one of the given layer ids.
     pub fn in_layers(mut self, layers: impl IntoIterator<Item = u32>) -> Self {
         self.filter.layers = Some(layers.into_iter().collect());
+        self
+    }
+
+    /// Replaces the whole filter (how [`parse_query`](crate::parse::parse_query)
+    /// applies a parsed where clause); [`build`](Self::build) validates it
+    /// like any other.
+    pub(crate) fn filter(mut self, filter: Filter) -> Self {
+        self.filter = filter;
         self
     }
 

@@ -11,16 +11,13 @@
 //! [`QuerySession`](crate::session::QuerySession) pipeline runs over a
 //! whole catalog unchanged.
 //!
-//! ## Remapping
+//! ## Addressing
 //!
-//! Each shard carries its own dictionaries, so the same peril can sit
-//! behind different codes in different shards.  Construction builds
-//! *merged* dictionaries and remaps every shard's per-segment code
-//! vectors into them (O(total segments), no loss data touched); global
-//! segment index `g` remaps through a cumulative offset table to shard
-//! `j`'s local segment — and thence to the shard-local column offset its
-//! loss slices live at — so scan-time access stays zero-copy borrowing
-//! from the owning shard.
+//! The union's tags are the shards' tags concatenated in shard order
+//! (O(total segments), no loss data touched); global segment index `g`
+//! maps through a cumulative offset table to shard `j`'s local segment —
+//! and thence to the shard-local column offset its loss slices live at —
+//! so scan-time access stays zero-copy borrowing from the owning shard.
 //!
 //! ## Exactness
 //!
@@ -31,38 +28,9 @@
 //! by the same exact concatenation monoid.  The workspace's
 //! `tests/catalog_equivalence.rs` proves this over random shard splits.
 
-use std::sync::Arc;
-
-use catrisk_eventgen::peril::{Peril, Region};
-use catrisk_finterms::layer::LayerId;
-
-use crate::dict::Dictionary;
-use crate::dims::{LineOfBusiness, SegmentMeta};
+use crate::dims::SegmentMeta;
 use crate::store::SegmentSource;
 use crate::{QueryError, Result};
-
-/// The shard-independent half of a union view: merged dictionaries,
-/// remapped per-segment codes, and the global segment offsets.
-///
-/// Building it is the only O(total segments) step of
-/// [`ShardedSource::new`], so a serving layer that snapshots the same
-/// shards batch after batch memoizes it (behind an `Arc`, keyed on the
-/// shards' generation stamps) and re-attaches it to fresh borrows with
-/// [`ShardedSource::with_schema`].
-#[derive(Debug)]
-pub struct MergedSchema {
-    /// `seg_starts[j]` is the global index of shard `j`'s first segment;
-    /// one extra trailing entry holds the total.
-    seg_starts: Vec<usize>,
-    num_trials: usize,
-    layer_dict: Dictionary<LayerId>,
-    peril_dict: Dictionary<Peril>,
-    region_dict: Dictionary<Region>,
-    lob_dict: Dictionary<LineOfBusiness>,
-    /// Per-segment codes remapped into the merged dictionaries, global
-    /// segment order, dimension order layer / peril / region / lob.
-    codes: [Vec<u32>; 4],
-}
 
 /// N shards presented as one [`SegmentSource`]: the union of their
 /// segments over a common trial axis.
@@ -74,15 +42,19 @@ pub struct MergedSchema {
 /// first commit becomes visible.
 pub struct ShardedSource<'a, S: SegmentSource + ?Sized> {
     shards: Vec<&'a S>,
-    schema: Arc<MergedSchema>,
+    /// `seg_starts[j]` is the global index of shard `j`'s first segment;
+    /// one extra trailing entry holds the total.
+    seg_starts: Vec<usize>,
+    /// Every shard's tags, concatenated in shard order.
+    metas: Vec<SegmentMeta>,
 }
 
 impl<S: SegmentSource + ?Sized> std::fmt::Debug for ShardedSource<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSource")
             .field("shards", &self.shards.len())
-            .field("segments", &self.num_segments())
-            .field("trials", &self.schema.num_trials)
+            .field("segments", &self.metas.len())
+            .field("trials", &self.num_trials())
             .finish()
     }
 }
@@ -90,7 +62,7 @@ impl<S: SegmentSource + ?Sized> std::fmt::Debug for ShardedSource<'_, S> {
 impl<'a, S: SegmentSource + ?Sized> ShardedSource<'a, S> {
     /// Builds the union view over `shards`, validating that every shard
     /// holds the same number of trials (segments of different trial
-    /// counts cannot share one scan) and merging the dictionaries.
+    /// counts cannot share one scan) and concatenating their tags.
     pub fn new(shards: Vec<&'a S>) -> Result<Self> {
         let Some(first) = shards.first() else {
             return Err(QueryError::Store(
@@ -98,15 +70,8 @@ impl<'a, S: SegmentSource + ?Sized> ShardedSource<'a, S> {
             ));
         };
         let num_trials = first.num_trials();
-        let mut schema = MergedSchema {
-            seg_starts: vec![0],
-            num_trials,
-            layer_dict: Dictionary::new(),
-            peril_dict: Dictionary::new(),
-            region_dict: Dictionary::new(),
-            lob_dict: Dictionary::new(),
-            codes: Default::default(),
-        };
+        let mut seg_starts = vec![0];
+        let mut metas = Vec::new();
         for (index, shard) in shards.iter().enumerate() {
             if shard.num_trials() != num_trials {
                 return Err(QueryError::Store(format!(
@@ -115,99 +80,24 @@ impl<'a, S: SegmentSource + ?Sized> ShardedSource<'a, S> {
                     shard.num_trials()
                 )));
             }
-            schema.absorb_shard(*shard);
+            metas.extend_from_slice(shard.metas());
+            seg_starts.push(metas.len());
         }
         Ok(ShardedSource {
             shards,
-            schema: Arc::new(schema),
+            seg_starts,
+            metas,
         })
     }
 
-    /// Re-attaches a previously built schema to fresh shard borrows,
-    /// skipping the O(total segments) dictionary merge.
-    ///
-    /// Only the *shape* is validated (shard count, per-shard segment
-    /// counts, trial count); the caller must guarantee the schema was
-    /// built from these same shards in their current state — in a
-    /// serving layer that means keying the memoized schema on the
-    /// shards' generation stamps, so any visible change rebuilds it.
-    pub fn with_schema(shards: Vec<&'a S>, schema: Arc<MergedSchema>) -> Result<Self> {
-        if shards.len() + 1 != schema.seg_starts.len() {
-            return Err(QueryError::Store(format!(
-                "schema was built from {} shards, got {}",
-                schema.seg_starts.len() - 1,
-                shards.len()
-            )));
-        }
-        for (index, (shard, window)) in shards.iter().zip(schema.seg_starts.windows(2)).enumerate()
-        {
-            if shard.num_trials() != schema.num_trials {
-                return Err(QueryError::Store(format!(
-                    "shard {index} holds {}-trial segments but the schema holds {}-trial \
-                     segments",
-                    shard.num_trials(),
-                    schema.num_trials
-                )));
-            }
-            if shard.num_segments() != window[1] - window[0] {
-                return Err(QueryError::Store(format!(
-                    "shard {index} holds {} segments but the schema mapped {}",
-                    shard.num_segments(),
-                    window[1] - window[0]
-                )));
-            }
-        }
-        Ok(ShardedSource { shards, schema })
+    /// Number of shards in the union.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
     }
 
-    /// The merged schema, shareable across snapshots of the same shards.
-    pub fn schema(&self) -> &Arc<MergedSchema> {
-        &self.schema
-    }
-}
-
-impl MergedSchema {
-    /// Merges one shard's dictionaries and appends its remapped codes.
-    fn absorb_shard<S: SegmentSource + ?Sized>(&mut self, shard: &S) {
-        // Per-dimension remap tables: shard-local code -> merged code.
-        // O(dictionary entries) to build, O(1) per segment to apply.
-        let layer_map: Vec<u32> = shard
-            .layer_dict()
-            .values()
-            .iter()
-            .map(|&v| self.layer_dict.intern(v))
-            .collect();
-        let peril_map: Vec<u32> = shard
-            .peril_dict()
-            .values()
-            .iter()
-            .map(|&v| self.peril_dict.intern(v))
-            .collect();
-        let region_map: Vec<u32> = shard
-            .region_dict()
-            .values()
-            .iter()
-            .map(|&v| self.region_dict.intern(v))
-            .collect();
-        let lob_map: Vec<u32> = shard
-            .lob_dict()
-            .values()
-            .iter()
-            .map(|&v| self.lob_dict.intern(v))
-            .collect();
-        for (d, (codes, map)) in [
-            (shard.layer_codes(), &layer_map),
-            (shard.peril_codes(), &peril_map),
-            (shard.region_codes(), &region_map),
-            (shard.lob_codes(), &lob_map),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            self.codes[d].extend(codes.iter().map(|&c| map[c as usize]));
-        }
-        self.seg_starts
-            .push(self.seg_starts.last().unwrap() + shard.num_segments());
+    /// The shards in union order.
+    pub fn shards(&self) -> &[&'a S] {
+        &self.shards
     }
 
     /// The global segment range `[lo, hi)` each shard contributes, in
@@ -221,18 +111,6 @@ impl MergedSchema {
             .map(|window| (window[0], window[1]))
             .collect()
     }
-}
-
-impl<'a, S: SegmentSource + ?Sized> ShardedSource<'a, S> {
-    /// Number of shards in the union.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards in union order.
-    pub fn shards(&self) -> &[&'a S] {
-        &self.shards
-    }
 
     /// Maps a global segment index to `(shard index, shard-local segment
     /// index)`.
@@ -241,35 +119,22 @@ impl<'a, S: SegmentSource + ?Sized> ShardedSource<'a, S> {
     /// If `segment` is out of bounds, like the slice accessors.
     pub fn locate(&self, segment: usize) -> (usize, usize) {
         assert!(
-            segment < self.num_segments(),
+            segment < self.metas.len(),
             "segment {segment} out of bounds ({} segments)",
-            self.num_segments()
+            self.metas.len()
         );
-        let starts = &self.schema.seg_starts;
-        let shard = starts.partition_point(|&start| start <= segment) - 1;
-        (shard, segment - starts[shard])
-    }
-
-    /// The dimension tags of one global segment, decoded through the
-    /// merged dictionaries.
-    pub fn meta(&self, segment: usize) -> SegmentMeta {
-        let schema = &self.schema;
-        SegmentMeta::new(
-            *schema.layer_dict.value(schema.codes[0][segment]),
-            *schema.peril_dict.value(schema.codes[1][segment]),
-            *schema.region_dict.value(schema.codes[2][segment]),
-            *schema.lob_dict.value(schema.codes[3][segment]),
-        )
+        let shard = self.seg_starts.partition_point(|&start| start <= segment) - 1;
+        (shard, segment - self.seg_starts[shard])
     }
 }
 
 impl<S: SegmentSource + ?Sized> SegmentSource for ShardedSource<'_, S> {
     fn num_trials(&self) -> usize {
-        self.schema.num_trials
+        self.shards[0].num_trials()
     }
 
-    fn num_segments(&self) -> usize {
-        *self.schema.seg_starts.last().unwrap()
+    fn metas(&self) -> &[SegmentMeta] {
+        &self.metas
     }
 
     fn year_losses(&self, segment: usize) -> &[f64] {
@@ -281,49 +146,20 @@ impl<S: SegmentSource + ?Sized> SegmentSource for ShardedSource<'_, S> {
         let (shard, local) = self.locate(segment);
         self.shards[shard].max_occ_losses(local)
     }
-
-    fn layer_codes(&self) -> &[u32] {
-        &self.schema.codes[0]
-    }
-
-    fn peril_codes(&self) -> &[u32] {
-        &self.schema.codes[1]
-    }
-
-    fn region_codes(&self) -> &[u32] {
-        &self.schema.codes[2]
-    }
-
-    fn lob_codes(&self) -> &[u32] {
-        &self.schema.codes[3]
-    }
-
-    fn layer_dict(&self) -> &Dictionary<LayerId> {
-        &self.schema.layer_dict
-    }
-
-    fn peril_dict(&self) -> &Dictionary<Peril> {
-        &self.schema.peril_dict
-    }
-
-    fn region_dict(&self) -> &Dictionary<Region> {
-        &self.schema.region_dict
-    }
-
-    fn lob_dict(&self) -> &Dictionary<LineOfBusiness> {
-        &self.schema.lob_dict
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::LineOfBusiness;
     use crate::exec::execute;
     use crate::query::{Aggregate, QueryBuilder};
     use crate::session::QuerySession;
     use crate::store::ResultStore;
     use crate::Dimension;
     use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
+    use catrisk_eventgen::peril::{Peril, Region};
+    use catrisk_finterms::layer::LayerId;
 
     fn outcome(year: f64) -> TrialOutcome {
         TrialOutcome {
@@ -343,8 +179,8 @@ mod tests {
             .unwrap();
     }
 
-    /// Two shards whose dictionaries intern the shared dimension values in
-    /// *different* orders, so the remap tables are actually exercised.
+    /// Two shards that meet the shared dimension values in *different*
+    /// orders (a store file would intern them under different codes).
     fn split_shards() -> (ResultStore, ResultStore, ResultStore) {
         let mut a = ResultStore::new(3);
         seg(
@@ -385,8 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn union_layout_and_remapping() {
-        let (a, b, _) = split_shards();
+    fn union_layout_and_tags() {
+        let (a, b, whole) = split_shards();
         let sharded = ShardedSource::new(vec![&a, &b]).unwrap();
         assert_eq!(sharded.num_shards(), 2);
         assert_eq!(sharded.num_segments(), 4);
@@ -397,12 +233,12 @@ mod tests {
         assert_eq!(sharded.locate(3), (1, 1));
         // Global segment 3 is shard B's second segment.
         assert_eq!(sharded.year_losses(3), &[3.0, 0.0, 2.0]);
-        // Shard B interned Flood before Hurricane; the merged dictionary
-        // keeps shard A's order, so B's codes were remapped.
-        assert_eq!(sharded.peril_codes(), &[0, 1, 1, 0]);
-        assert_eq!(*sharded.peril_dict().value(0), Peril::Hurricane);
-        assert_eq!(sharded.meta(2).peril, Peril::Flood);
-        assert_eq!(sharded.meta(2).region, Region::Europe);
+        // Shard B meets Flood before Hurricane; the union still presents
+        // exactly the concatenated store's tags.
+        assert_eq!(sharded.metas(), whole.metas());
+        assert_eq!(sharded.segment_ranges(), vec![(0, 2), (2, 4)]);
+        assert_eq!(sharded.metas()[2].peril, Peril::Flood);
+        assert_eq!(sharded.metas()[2].region, Region::Europe);
         assert_eq!(sharded.shards().len(), 2);
         assert!(format!("{sharded:?}").contains("ShardedSource"));
     }
@@ -487,31 +323,6 @@ mod tests {
             ShardedSource::<ResultStore>::new(vec![]),
             Err(QueryError::Store(_))
         ));
-    }
-
-    #[test]
-    fn reattached_schema_matches_a_fresh_build_and_validates_shape() {
-        let (a, b, whole) = split_shards();
-        let schema = Arc::clone(ShardedSource::new(vec![&a, &b]).unwrap().schema());
-        let reused = ShardedSource::with_schema(vec![&a, &b], Arc::clone(&schema)).unwrap();
-        let query = QueryBuilder::new()
-            .group_by(Dimension::Peril)
-            .aggregate(Aggregate::Tvar { level: 0.9 })
-            .build()
-            .unwrap();
-        assert_eq!(
-            execute(&reused, &query).unwrap(),
-            execute(&whole, &query).unwrap()
-        );
-        // Shape mismatches are rejected: wrong shard count, wrong segment
-        // count, wrong trial count.
-        assert!(ShardedSource::with_schema(vec![&a], Arc::clone(&schema)).is_err());
-        assert!(ShardedSource::with_schema(vec![&b, &a], Arc::clone(&schema)).is_ok());
-        let mut grown = ResultStore::new(3);
-        seg(&mut grown, 9, Peril::Tornado, Region::Europe, &[0.0; 3]);
-        assert!(ShardedSource::with_schema(vec![&a, &grown], Arc::clone(&schema)).is_err());
-        let other_trials = ResultStore::new(7);
-        assert!(ShardedSource::with_schema(vec![&a, &other_trials], schema).is_err());
     }
 
     #[test]

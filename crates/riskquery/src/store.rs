@@ -1,12 +1,9 @@
 //! The columnar result store: ingested Year Loss Tables as cache-friendly
-//! column vectors plus dictionary-encoded dimension columns.
+//! column vectors plus one decoded dimension tag per segment.
 
 use catrisk_engine::ylt::{AnalysisOutput, YearLossTable};
-use catrisk_eventgen::peril::{Peril, Region};
-use catrisk_finterms::layer::LayerId;
 
-use crate::dict::Dictionary;
-use crate::dims::{LineOfBusiness, SegmentMeta};
+use crate::dims::SegmentMeta;
 use crate::{QueryError, Result};
 
 /// Columnar segment storage the query engine can scan.
@@ -20,16 +17,23 @@ use crate::{QueryError, Result};
 /// per-query deserialisation).
 ///
 /// The contract mirrors [`ResultStore`]'s layout: every segment holds
-/// exactly [`num_trials`](SegmentSource::num_trials) losses per column, the
-/// per-segment code vectors are indexed by segment, and each dictionary maps
-/// the codes appearing in the corresponding code vector.  Implementations
-/// must be `Sync`: the scan shares `&self` across worker threads.
+/// exactly [`num_trials`](SegmentSource::num_trials) losses per column, and
+/// [`metas`](SegmentSource::metas) holds one decoded tag per segment, in
+/// segment order — all the planner reads before touching loss data.  How a
+/// source stores its tags (a store file dictionary-codes them) is its own
+/// business.  Implementations must be `Sync`: the scan shares `&self`
+/// across worker threads.
 pub trait SegmentSource: Sync {
     /// Number of trials every segment holds.
     fn num_trials(&self) -> usize;
 
+    /// The dimension tags of every segment, in segment order.
+    fn metas(&self) -> &[SegmentMeta];
+
     /// Number of segments.
-    fn num_segments(&self) -> usize;
+    fn num_segments(&self) -> usize {
+        self.metas().len()
+    }
 
     /// The year-loss slice of one segment (one value per trial).
     ///
@@ -72,62 +76,29 @@ pub trait SegmentSource: Sync {
     fn trial_cuts(&self) -> Vec<usize> {
         Vec::new()
     }
-
-    /// Per-segment dictionary codes of the layer dimension.
-    fn layer_codes(&self) -> &[u32];
-
-    /// Per-segment dictionary codes of the peril dimension.
-    fn peril_codes(&self) -> &[u32];
-
-    /// Per-segment dictionary codes of the region dimension.
-    fn region_codes(&self) -> &[u32];
-
-    /// Per-segment dictionary codes of the line-of-business dimension.
-    fn lob_codes(&self) -> &[u32];
-
-    /// The layer dictionary.
-    fn layer_dict(&self) -> &Dictionary<LayerId>;
-
-    /// The peril dictionary.
-    fn peril_dict(&self) -> &Dictionary<Peril>;
-
-    /// The region dictionary.
-    fn region_dict(&self) -> &Dictionary<Region>;
-
-    /// The line-of-business dictionary.
-    fn lob_dict(&self) -> &Dictionary<LineOfBusiness>;
 }
 
 /// Columnar store of simulation results.
 ///
 /// Each ingested YLT becomes one *segment*: a contiguous run of
 /// `num_trials` values inside two loss columns (`year_loss` for aggregate /
-/// AEP analysis, `max_occ_loss` for occurrence / OEP analysis), plus one
-/// dictionary code per dimension.  Layout:
+/// AEP analysis, `max_occ_loss` for occurrence / OEP analysis), plus its
+/// dimension tags.  Layout:
 ///
 /// ```text
 /// year_loss:    [seg0 t0..tN | seg1 t0..tN | seg2 t0..tN | ...]
 /// max_occ_loss: [seg0 t0..tN | seg1 t0..tN | seg2 t0..tN | ...]
-/// peril_codes:  [seg0, seg1, seg2, ...]        (one u32 per segment)
-/// region_codes: [...]   lob_codes: [...]   layer_codes: [...]
+/// metas:        [seg0, seg1, seg2, ...]        (one tag per segment)
 /// ```
 ///
 /// Scans therefore stream sequentially through memory one segment slice at
-/// a time, and filters touch only the tiny per-segment code vectors — the
+/// a time, and filters touch only the tiny per-segment tag vector — the
 /// "pushdown" half of the QuPARA mapping.
 #[derive(Debug, Clone, Default)]
 pub struct ResultStore {
     num_trials: usize,
     year_loss: Vec<f64>,
     max_occ_loss: Vec<f64>,
-    layer_codes: Vec<u32>,
-    peril_codes: Vec<u32>,
-    region_codes: Vec<u32>,
-    lob_codes: Vec<u32>,
-    layer_dict: Dictionary<LayerId>,
-    peril_dict: Dictionary<Peril>,
-    region_dict: Dictionary<Region>,
-    lob_dict: Dictionary<LineOfBusiness>,
     metas: Vec<SegmentMeta>,
 }
 
@@ -157,10 +128,6 @@ impl ResultStore {
             self.year_loss.push(outcome.year_loss);
             self.max_occ_loss.push(outcome.max_occurrence_loss);
         }
-        self.layer_codes.push(self.layer_dict.intern(meta.layer));
-        self.peril_codes.push(self.peril_dict.intern(meta.peril));
-        self.region_codes.push(self.region_dict.intern(meta.region));
-        self.lob_codes.push(self.lob_dict.intern(meta.lob));
         self.metas.push(meta);
         Ok(segment)
     }
@@ -231,54 +198,9 @@ impl ResultStore {
         &self.metas
     }
 
-    /// Per-segment dictionary codes of the layer dimension.
-    pub fn layer_codes(&self) -> &[u32] {
-        &self.layer_codes
-    }
-
-    /// Per-segment dictionary codes of the peril dimension.
-    pub fn peril_codes(&self) -> &[u32] {
-        &self.peril_codes
-    }
-
-    /// Per-segment dictionary codes of the region dimension.
-    pub fn region_codes(&self) -> &[u32] {
-        &self.region_codes
-    }
-
-    /// Per-segment dictionary codes of the line-of-business dimension.
-    pub fn lob_codes(&self) -> &[u32] {
-        &self.lob_codes
-    }
-
-    /// The layer dictionary.
-    pub fn layer_dict(&self) -> &Dictionary<LayerId> {
-        &self.layer_dict
-    }
-
-    /// The peril dictionary.
-    pub fn peril_dict(&self) -> &Dictionary<Peril> {
-        &self.peril_dict
-    }
-
-    /// The region dictionary.
-    pub fn region_dict(&self) -> &Dictionary<Region> {
-        &self.region_dict
-    }
-
-    /// The line-of-business dictionary.
-    pub fn lob_dict(&self) -> &Dictionary<LineOfBusiness> {
-        &self.lob_dict
-    }
-
     /// Approximate heap memory of the loss columns, in bytes.
     pub fn memory_bytes(&self) -> usize {
         (self.year_loss.len() + self.max_occ_loss.len()) * std::mem::size_of::<f64>()
-            + (self.layer_codes.len()
-                + self.peril_codes.len()
-                + self.region_codes.len()
-                + self.lob_codes.len())
-                * std::mem::size_of::<u32>()
     }
 }
 
@@ -287,8 +209,8 @@ impl SegmentSource for ResultStore {
         self.num_trials
     }
 
-    fn num_segments(&self) -> usize {
-        self.metas.len()
+    fn metas(&self) -> &[SegmentMeta] {
+        &self.metas
     }
 
     fn year_losses(&self, segment: usize) -> &[f64] {
@@ -298,44 +220,15 @@ impl SegmentSource for ResultStore {
     fn max_occ_losses(&self, segment: usize) -> &[f64] {
         ResultStore::max_occ_losses(self, segment)
     }
-
-    fn layer_codes(&self) -> &[u32] {
-        &self.layer_codes
-    }
-
-    fn peril_codes(&self) -> &[u32] {
-        &self.peril_codes
-    }
-
-    fn region_codes(&self) -> &[u32] {
-        &self.region_codes
-    }
-
-    fn lob_codes(&self) -> &[u32] {
-        &self.lob_codes
-    }
-
-    fn layer_dict(&self) -> &Dictionary<LayerId> {
-        &self.layer_dict
-    }
-
-    fn peril_dict(&self) -> &Dictionary<Peril> {
-        &self.peril_dict
-    }
-
-    fn region_dict(&self) -> &Dictionary<Region> {
-        &self.region_dict
-    }
-
-    fn lob_dict(&self) -> &Dictionary<LineOfBusiness> {
-        &self.lob_dict
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::LineOfBusiness;
     use catrisk_engine::ylt::TrialOutcome;
+    use catrisk_eventgen::peril::{Peril, Region};
+    use catrisk_finterms::layer::LayerId;
 
     fn outcome(year: f64, occ: f64) -> TrialOutcome {
         TrialOutcome {
@@ -374,8 +267,7 @@ mod tests {
         assert_eq!(store.year_losses(0), &[1.0, 2.0]);
         assert_eq!(store.year_losses(1), &[3.0, 0.0]);
         assert_eq!(store.max_occ_losses(0), &[0.5, 2.0]);
-        assert_eq!(store.peril_codes(), &[0, 1]);
-        assert_eq!(*store.peril_dict().value(1), Peril::Flood);
+        assert_eq!(store.metas()[1].peril, Peril::Flood);
         assert_eq!(store.meta(1).layer, LayerId(1));
         assert!(store.memory_bytes() >= 4 * 8);
         assert!(!store.is_empty());

@@ -33,9 +33,8 @@
 //! Every shard must present the *same segments in the same order* (same
 //! dimension tags), because segment `s` of the union is segment `s` of
 //! every shard, restricted to that shard's trial window.  Construction
-//! validates this by decoding each shard's per-segment tags through its
-//! own dictionaries — code assignments may differ between shards (each
-//! writer interns in its own order); only the decoded values must agree.
+//! validates this by comparing every shard's tags with shard 0's (how
+//! each writer coded them on disk is irrelevant; the tags must agree).
 //! When shards disagree on segment *count* — the serve-while-ingesting
 //! state, where one writer has committed a layer its peers have not yet —
 //! the union clamps to the common committed prefix: a layer becomes
@@ -56,12 +55,9 @@
 //! workspace's `tests/catalog_equivalence.rs` proves the property over
 //! random trial splits.
 
-use crate::dict::Dictionary;
-use crate::dims::{LineOfBusiness, SegmentMeta};
+use crate::dims::SegmentMeta;
 use crate::store::SegmentSource;
 use crate::{QueryError, Result};
-use catrisk_eventgen::peril::{Peril, Region};
-use catrisk_finterms::layer::LayerId;
 
 /// N shards covering disjoint, adjacent trial windows, presented as one
 /// [`SegmentSource`] over the concatenated trial axis.
@@ -91,25 +87,13 @@ impl<S: SegmentSource + ?Sized> std::fmt::Debug for TrialShardedSource<'_, S> {
     }
 }
 
-/// Decodes one segment's dimension tags through the shard's own
-/// dictionaries (code assignments differ between shards; values are what
-/// must agree).
-fn decoded_meta<S: SegmentSource + ?Sized>(shard: &S, segment: usize) -> SegmentMeta {
-    SegmentMeta::new(
-        *shard.layer_dict().value(shard.layer_codes()[segment]),
-        *shard.peril_dict().value(shard.peril_codes()[segment]),
-        *shard.region_dict().value(shard.region_codes()[segment]),
-        *shard.lob_dict().value(shard.lob_codes()[segment]),
-    )
-}
-
 impl<'a, S: SegmentSource + ?Sized> TrialShardedSource<'a, S> {
     /// Builds the trial-axis union over `shards`, in window order.
     ///
     /// The served segment set is the common committed prefix
-    /// (`min(shard.num_segments())`); every shard's decoded dimension
-    /// tags must agree over that prefix, or the shards do not describe
-    /// the same portfolio and the union is rejected.
+    /// (`min(shard.num_segments())`); every shard's dimension tags must
+    /// agree over that prefix, or the shards do not describe the same
+    /// portfolio and the union is rejected.
     pub fn new(shards: Vec<&'a S>) -> Result<Self> {
         let Some(first) = shards.first() else {
             return Err(QueryError::Store(
@@ -121,53 +105,27 @@ impl<'a, S: SegmentSource + ?Sized> TrialShardedSource<'a, S> {
             .map(|shard| shard.num_segments())
             .min()
             .unwrap_or(0);
+        let expected = &first.metas()[..prefix];
         for (index, shard) in shards.iter().enumerate().skip(1) {
-            for segment in 0..prefix {
-                let meta = decoded_meta(*shard, segment);
-                let expected = decoded_meta(*first, segment);
-                if meta != expected {
-                    return Err(QueryError::Store(format!(
-                        "trial shard {index} tags segment {segment} as {meta} but shard 0 \
-                         tags it {expected}; trial shards must hold the same segments in \
-                         the same order"
-                    )));
-                }
+            let metas = &shard.metas()[..prefix];
+            if let Some(segment) = metas.iter().zip(expected).position(|(a, b)| a != b) {
+                return Err(QueryError::Store(format!(
+                    "trial shard {index} tags segment {segment} as {} but shard 0 tags it {}; \
+                     trial shards must hold the same segments in the same order",
+                    metas[segment], expected[segment]
+                )));
             }
         }
-        Ok(Self::assemble(shards, prefix))
-    }
-
-    /// [`TrialShardedSource::new`] minus the O(segments × shards)
-    /// meta-equality validation — for callers that already validated
-    /// *these same shards in this same state* (a serving catalog
-    /// memoizes validation success against the shards' generation
-    /// stamps, so any visible change re-validates).  Still computes the
-    /// prefix and window offsets; still rejects an empty shard list.
-    pub fn with_validated_layout(shards: Vec<&'a S>) -> Result<Self> {
-        if shards.is_empty() {
-            return Err(QueryError::Store(
-                "a trial-sharded source needs at least one shard".to_string(),
-            ));
-        }
-        let prefix = shards
-            .iter()
-            .map(|shard| shard.num_segments())
-            .min()
-            .unwrap_or(0);
-        Ok(Self::assemble(shards, prefix))
-    }
-
-    fn assemble(shards: Vec<&'a S>, prefix: usize) -> Self {
         let mut offsets = Vec::with_capacity(shards.len() + 1);
         offsets.push(0);
         for shard in &shards {
             offsets.push(offsets.last().unwrap() + shard.num_trials());
         }
-        TrialShardedSource {
+        Ok(TrialShardedSource {
             shards,
             offsets,
             prefix,
-        }
+        })
     }
 
     /// Number of shards (trial windows).
@@ -199,13 +157,6 @@ impl<'a, S: SegmentSource + ?Sized> TrialShardedSource<'a, S> {
         (shard, trial - self.offsets[shard])
     }
 
-    /// The dimension tags of one segment (as shard 0 decodes them; all
-    /// shards agree by construction).
-    pub fn meta(&self, segment: usize) -> SegmentMeta {
-        assert!(segment < self.prefix, "segment {segment} out of bounds");
-        decoded_meta(self.shards[0], segment)
-    }
-
     /// The windowed slices of `segment` for either loss column; `year`
     /// picks the column.  The window must lie inside one shard.
     fn slice_in(&self, segment: usize, start: usize, end: usize, year: bool) -> &[f64] {
@@ -233,8 +184,8 @@ impl<S: SegmentSource + ?Sized> SegmentSource for TrialShardedSource<'_, S> {
         *self.offsets.last().unwrap()
     }
 
-    fn num_segments(&self) -> usize {
-        self.prefix
+    fn metas(&self) -> &[SegmentMeta] {
+        &self.shards[0].metas()[..self.prefix]
     }
 
     /// Only a single-shard union is contiguous enough for a full-segment
@@ -277,49 +228,20 @@ impl<S: SegmentSource + ?Sized> SegmentSource for TrialShardedSource<'_, S> {
     fn trial_cuts(&self) -> Vec<usize> {
         self.offsets[1..self.offsets.len() - 1].to_vec()
     }
-
-    fn layer_codes(&self) -> &[u32] {
-        &self.shards[0].layer_codes()[..self.prefix]
-    }
-
-    fn peril_codes(&self) -> &[u32] {
-        &self.shards[0].peril_codes()[..self.prefix]
-    }
-
-    fn region_codes(&self) -> &[u32] {
-        &self.shards[0].region_codes()[..self.prefix]
-    }
-
-    fn lob_codes(&self) -> &[u32] {
-        &self.shards[0].lob_codes()[..self.prefix]
-    }
-
-    fn layer_dict(&self) -> &Dictionary<LayerId> {
-        self.shards[0].layer_dict()
-    }
-
-    fn peril_dict(&self) -> &Dictionary<Peril> {
-        self.shards[0].peril_dict()
-    }
-
-    fn region_dict(&self) -> &Dictionary<Region> {
-        self.shards[0].region_dict()
-    }
-
-    fn lob_dict(&self) -> &Dictionary<LineOfBusiness> {
-        self.shards[0].lob_dict()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::LineOfBusiness;
     use crate::exec::execute;
     use crate::query::{Aggregate, Basis, QueryBuilder};
     use crate::session::QuerySession;
     use crate::store::ResultStore;
     use crate::Dimension;
     use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
+    use catrisk_eventgen::peril::{Peril, Region};
+    use catrisk_finterms::layer::LayerId;
 
     fn outcome(year: f64) -> TrialOutcome {
         TrialOutcome {
@@ -393,7 +315,7 @@ mod tests {
         assert_eq!(sharded.year_losses_in(0, 5, 6), &[0.0]);
         assert_eq!(sharded.max_occ_losses_in(2, 2, 4), &[0.5, 0.0]);
         assert!(sharded.year_losses_in(1, 3, 3).is_empty());
-        assert_eq!(sharded.meta(2).peril, Peril::Hurricane);
+        assert_eq!(sharded.metas()[2].peril, Peril::Hurricane);
         assert_eq!(sharded.shards().len(), 3);
         assert!(format!("{sharded:?}").contains("TrialShardedSource"));
     }
@@ -518,27 +440,6 @@ mod tests {
             TrialShardedSource::<ResultStore>::new(vec![]),
             Err(QueryError::Store(_))
         ));
-        assert!(matches!(
-            TrialShardedSource::<ResultStore>::with_validated_layout(vec![]),
-            Err(QueryError::Store(_))
-        ));
-    }
-
-    #[test]
-    fn prevalidated_construction_matches_a_fresh_build() {
-        let (shards, whole) = split();
-        let refs: Vec<&ResultStore> = shards.iter().collect();
-        let sharded = TrialShardedSource::with_validated_layout(refs).unwrap();
-        assert_eq!(sharded.shard_windows(), vec![(0, 2), (2, 5), (5, 6)]);
-        let query = QueryBuilder::new()
-            .group_by(Dimension::Peril)
-            .aggregate(Aggregate::Mean)
-            .build()
-            .unwrap();
-        assert_eq!(
-            execute(&sharded, &query).unwrap(),
-            execute(&whole, &query).unwrap()
-        );
     }
 
     #[test]

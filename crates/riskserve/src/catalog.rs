@@ -22,8 +22,8 @@
 //!
 //! Per batch, [`SourceProvider::with_source`] takes all shard read locks
 //! (in shard order, one lock level — no deadlock), builds the zero-copy
-//! union (memoizing a segment-axis catalog's merged schema against the
-//! generation vector, so cache-hit batches skip the dictionary merge),
+//! union (concatenating or checking a few hundred segment tags — cheap
+//! enough to redo every batch, so nothing is memoized),
 //! and hands the scheduler a [`SourceSnapshot`] whose generation vector
 //! is taken *under those same locks* — so the stamps and the data can
 //! never disagree.  A stamp is the shard's commit counter tagged with a
@@ -54,9 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use catrisk_riskquery::{
-    Grid, MergedSchema, ResultStore, SegmentSource, ShardedSource, TrialShardedSource,
-};
+use catrisk_riskquery::{Grid, ResultStore, SegmentSource, ShardedSource, TrialShardedSource};
 use catrisk_riskstore::{StoreError, StoreReader};
 use catrisk_telemetry::{Histogram, Registry};
 
@@ -352,15 +350,6 @@ pub struct StoreCatalog {
     discovered_queue: Mutex<Vec<PathBuf>>,
     /// Total stores adopted by discovery over the catalog's lifetime.
     discovered: AtomicU64,
-    /// The merged union schema memoized against the generation vector it
-    /// was built under, so cache-hit batches skip the O(total segments)
-    /// dictionary merge (segment axis only).
-    schema_cache: Mutex<Option<(Vec<u64>, Arc<MergedSchema>)>>,
-    /// The generation vector under which the trial-axis layout
-    /// (per-segment meta equality across windows) last validated, so
-    /// unchanged batches skip the O(segments × shards) re-validation
-    /// (trial axis only) — the trial-axis analogue of `schema_cache`.
-    trial_layout_cache: Mutex<Option<Vec<u64>>>,
     /// Epoch for the probe throttle clock.
     opened: Instant,
     /// Minimum µs between on-disk generation probes (0 = probe on every
@@ -378,9 +367,8 @@ pub struct StoreCatalog {
 
 /// The catalog's resolved metric handles (see [`crate::telemetry::stage`]).
 struct CatalogTelemetry {
-    /// Snapshot-assembly cost: memo validation plus (on generation
-    /// movement) the union schema / trial-layout rebuild.
-    schema_memo: Arc<Histogram>,
+    /// Snapshot-assembly cost: building the batch's union.
+    assembly: Arc<Histogram>,
     /// Store-open cost, also recorded for stores adopted by discovery.
     store_open: Arc<Histogram>,
     /// Refresh cost, attached to every reader including discovered ones.
@@ -434,8 +422,6 @@ impl StoreCatalog {
             watch: Mutex::new(None),
             discovered_queue: Mutex::new(Vec::new()),
             discovered: AtomicU64::new(0),
-            schema_cache: Mutex::new(None),
-            trial_layout_cache: Mutex::new(None),
             opened: Instant::now(),
             probe_interval_micros: AtomicU64::new(0),
             last_probe_micros: AtomicU64::new(u64::MAX),
@@ -773,7 +759,7 @@ impl SourceProvider for StoreCatalog {
             reader.attach_refresh_histogram(Arc::clone(&refresh_hist));
         }
         *lock(&self.telemetry) = Some(CatalogTelemetry {
-            schema_memo: registry.histogram(stage::SCHEMA_MEMO),
+            assembly: registry.histogram(stage::SCHEMA_MEMO),
             store_open: open_hist,
             store_refresh: refresh_hist,
         });
@@ -806,9 +792,9 @@ impl SourceProvider for StoreCatalog {
             .zip(&guards)
             .map(|(shard, guard)| stamp(shard.epoch.load(Ordering::Acquire), guard.commit_seq()))
             .collect();
-        let schema_memo: Option<Arc<Histogram>> = lock(&self.telemetry)
+        let assembly: Option<Arc<Histogram>> = lock(&self.telemetry)
             .as_ref()
-            .map(|telemetry| Arc::clone(&telemetry.schema_memo));
+            .map(|telemetry| Arc::clone(&telemetry.assembly));
 
         if topology.axis == ShardAxis::Trial {
             // Every window must still be covered by the store registered
@@ -821,40 +807,22 @@ impl SourceProvider for StoreCatalog {
                 .iter()
                 .map(|guard| &**guard as &dyn SegmentSource)
                 .collect();
-            // Re-validating the cross-window segment layout is
-            // O(segments × shards); skip it when nothing changed since
-            // the last validated snapshot (any visible change moves a
-            // generation stamp, which re-validates).
-            let memo_started = Instant::now();
-            let validated = lock(&self.trial_layout_cache)
-                .as_ref()
-                .is_some_and(|cached| cached == &generations);
-            let stitched = intact.then(|| {
-                if validated {
-                    TrialShardedSource::with_validated_layout(refs)
-                } else {
-                    TrialShardedSource::new(refs)
-                }
-            });
-            if let Some(histogram) = &schema_memo {
-                histogram.record(memo_started.elapsed().as_micros() as u64);
+            let assembly_started = Instant::now();
+            let stitched = intact.then(|| TrialShardedSource::new(refs));
+            if let Some(histogram) = &assembly {
+                histogram.record(assembly_started.elapsed().as_micros() as u64);
             }
             return match stitched {
                 // Shards that stopped describing the same segments (a
                 // mid-ingest layout divergence) cannot stitch either.
-                Some(Ok(stitched)) => {
-                    if !validated {
-                        *lock(&self.trial_layout_cache) = Some(generations.clone());
-                    }
-                    f(SourceSnapshot {
-                        source: &stitched,
-                        generations: &generations,
-                        grid: Grid {
-                            trial_windows: &topology.windows,
-                            ..Grid::default()
-                        },
-                    })
-                }
+                Some(Ok(stitched)) => f(SourceSnapshot {
+                    source: &stitched,
+                    generations: &generations,
+                    grid: Grid {
+                        trial_windows: &topology.windows,
+                        ..Grid::default()
+                    },
+                }),
                 _ => self.with_empty(topology.num_trials, &generations, f),
             };
         }
@@ -883,28 +851,14 @@ impl SourceProvider for StoreCatalog {
                 // shard-indexed ranges are only sound when no shard was
                 // excluded above; a degraded union serves uncut.
                 let all_usable = usable.len() == guards.len();
-                // Re-attach the memoized merged schema when nothing
-                // changed since it was built; otherwise rebuild and
-                // memoize it for the next batch.
-                let memo_started = Instant::now();
-                let cached = lock(&self.schema_cache)
-                    .as_ref()
-                    .filter(|(key, _)| key == &generations)
-                    .map(|(_, schema)| Arc::clone(schema));
-                let sharded = cached
-                    .and_then(|schema| ShardedSource::with_schema(usable.clone(), schema).ok())
-                    .unwrap_or_else(|| {
-                        let built = ShardedSource::new(usable)
-                            .expect("usable shards all share the catalog trial count");
-                        *lock(&self.schema_cache) =
-                            Some((generations.clone(), Arc::clone(built.schema())));
-                        built
-                    });
-                if let Some(histogram) = &schema_memo {
-                    histogram.record(memo_started.elapsed().as_micros() as u64);
+                let assembly_started = Instant::now();
+                let sharded = ShardedSource::new(usable)
+                    .expect("usable shards all share the catalog trial count");
+                if let Some(histogram) = &assembly {
+                    histogram.record(assembly_started.elapsed().as_micros() as u64);
                 }
                 let ranges = if all_usable {
-                    sharded.schema().segment_ranges()
+                    sharded.segment_ranges()
                 } else {
                     Vec::new()
                 };

@@ -71,7 +71,7 @@
 //! well-formed reply, not a dropped connection, so clients can implement
 //! typed backoff.
 
-use catrisk_riskquery::{parse_group_by, parse_select, parse_where, Query, QueryBuilder};
+use catrisk_riskquery::{parse_query, Query};
 
 use crate::server::{Reply, ServeError};
 
@@ -253,38 +253,7 @@ fn parse_query_line(line: &str) -> Result<Query, String> {
     if seen[GROUP] && group_text.is_empty() {
         return Err("empty group by clause".to_string());
     }
-
-    let mut builder = QueryBuilder::new();
-    for aggregate in parse_select(&select_text).map_err(|e| e.to_string())? {
-        builder = builder.aggregate(aggregate);
-    }
-    if !where_text.is_empty() {
-        let filter = parse_where(&where_text).map_err(|e| e.to_string())?;
-        if let Some(perils) = filter.perils {
-            builder = builder.with_perils(perils);
-        }
-        if let Some(regions) = filter.regions {
-            builder = builder.in_regions(regions);
-        }
-        if let Some(lobs) = filter.lobs {
-            builder = builder.for_lobs(lobs);
-        }
-        if let Some(layers) = filter.layers {
-            builder = builder.in_layers(layers);
-        }
-        if let Some((start, end)) = filter.trials {
-            builder = builder.trials(start..end);
-        }
-        if let Some(range) = filter.loss {
-            builder = builder.loss_in(range.min, range.max);
-        }
-    }
-    if !group_text.is_empty() {
-        for dim in parse_group_by(&group_text).map_err(|e| e.to_string())? {
-            builder = builder.group_by(dim);
-        }
-    }
-    builder.build().map_err(|e| e.to_string())
+    parse_query(&select_text, &where_text, &group_text).map_err(|e| e.to_string())
 }
 
 impl From<Reply> for WireReply {

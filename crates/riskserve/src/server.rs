@@ -273,7 +273,7 @@ impl<P: SourceProvider> Server<P> {
             config.trace_capacity,
         );
         // The provider hooks its own metrics (store opens, refresh costs,
-        // schema memo rebuilds) into the same registry the serving stages
+        // union assembly) into the same registry the serving stages
         // record into, so one `metrics` scrape covers the whole path.
         provider.attach_telemetry(&telemetry.registry);
         let shared = Arc::new(Shared {

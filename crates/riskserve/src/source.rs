@@ -76,7 +76,7 @@ pub trait SourceProvider: Send + Sync + 'static {
     /// Hooks the provider's own metrics into the server's registry, once,
     /// at server construction.  A refreshable catalog records store-open
     /// costs, attaches refresh-latency histograms to its readers and
-    /// times its schema memo; the default (for immutable providers with
+    /// times its union assembly; the default (for immutable providers with
     /// nothing to measure) is a no-op.
     fn attach_telemetry(&self, _registry: &catrisk_telemetry::Registry) {}
 

@@ -14,7 +14,7 @@
 //! down every open connection's socket so blocked reads return, joins the
 //! handlers, and finally drains the query server itself.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,6 +24,11 @@ use crate::source::SourceProvider;
 use crate::protocol::{parse_request, Request, WireReply};
 use crate::server::Server;
 use crate::sync::lock;
+
+/// The longest request line a connection may send, newline excluded.  A
+/// longer line is answered with one `parse` error and the connection is
+/// closed, so no client can make the server buffer an unbounded line.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 struct TcpShared<P: SourceProvider> {
     server: Server<P>,
@@ -175,12 +180,25 @@ fn handle_connection<P: SourceProvider>(connection: TcpStream, shared: &TcpShare
         return;
     };
     let mut writer = std::io::BufWriter::new(writer);
-    let reader = BufReader::new(connection);
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            break; // client vanished or socket shut down
+    let mut reader = BufReader::new(connection);
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        // One byte past the cap is enough to tell an over-long line.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => break, // EOF, client vanished or socket shut down
+            Ok(_) => {}
+        }
+        if bytes.last() != Some(&b'\n') && bytes.len() > MAX_LINE_BYTES {
+            let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            let _ = write_line(&mut writer, &WireReply::error("parse", message));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            break; // not a text protocol client
         };
-        let reply = match parse_request(&line) {
+        let reply = match parse_request(line) {
             Ok(None) => continue,
             Ok(Some(Request::Ping)) => WireReply::pong(),
             Ok(Some(Request::Stats)) => WireReply::stats(shared.server.stats()),
@@ -365,6 +383,38 @@ mod tests {
 
         let ack = roundtrip(&mut conn, "shutdown");
         assert_eq!(ack.kind, "shutting-down");
+        front.wait().expect("clean shutdown");
+    }
+
+    #[test]
+    fn an_over_long_line_closes_only_its_own_connection() {
+        let store = Arc::new(random_store(32, 4, 3));
+        let front = TcpFrontEnd::bind(Server::with_defaults(store), "127.0.0.1:0").expect("bind");
+        let mut bystander = client(front.local_addr());
+        let mut flooder = client(front.local_addr());
+
+        // The longest allowed line still parses (as a request, badly).
+        let longest = "x".repeat(MAX_LINE_BYTES);
+        let reply = roundtrip(&mut flooder, &longest);
+        assert_eq!(reply.error.as_ref().unwrap().kind, "parse");
+        assert!(!reply.error.unwrap().message.contains("exceeds"));
+
+        // One byte more: one parse error naming the cap, then the close.
+        let reply = roundtrip(&mut flooder, &"x".repeat(MAX_LINE_BYTES + 1));
+        let error = reply.error.expect("an error reply");
+        assert_eq!(error.kind, "parse");
+        assert!(error.message.contains("exceeds 65536 bytes"), "{error:?}");
+        assert!(flooder.round_trip("ping").is_err(), "the connection closed");
+
+        // Everyone else is still served.
+        assert_eq!(roundtrip(&mut bystander, "ping").kind, "pong");
+        let reply = roundtrip(&mut bystander, "select mean group by peril");
+        assert!(reply.ok, "{reply:?}");
+        assert_eq!(
+            roundtrip(&mut client(front.local_addr()), "ping").kind,
+            "pong"
+        );
+        front.stop();
         front.wait().expect("clean shutdown");
     }
 

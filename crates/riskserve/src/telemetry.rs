@@ -30,9 +30,10 @@ pub mod stage {
     /// Refresh probe: one sample per batch, the cost of
     /// `SourceProvider::refresh` (header peeks plus any reader refreshes).
     pub const REFRESH_PROBE: &str = "stage_refresh_probe_micros";
-    /// Schema / trial-layout memo: one sample per catalog snapshot that
-    /// assembles a multi-shard union, covering memo validation and (on
-    /// generation movement) the union schema rebuild.
+    /// Union assembly: one sample per catalog snapshot that assembles a
+    /// multi-shard union (concatenating segment tags, or checking that
+    /// trial windows agree on them).  The name predates the removal of
+    /// the memo it once timed and is kept for the wire.
     pub const SCHEMA_MEMO: &str = "stage_schema_memo_micros";
     /// Result-cache lookup: one sample per batch, the generation-keyed
     /// probe of every unique query under the cache lock.

@@ -1,10 +1,16 @@
 //! Footer encoding and decoding: dictionary pages, per-segment code
 //! vectors, and the checksummed segment directory (the per-block
 //! watermarks).
+//!
+//! Dictionary coding is this file format's private detail: readers of
+//! the crate see decoded [`SegmentMeta`] tags ([`Footer::metas`]), never
+//! codes.
+
+use std::collections::HashSet;
 
 use catrisk_eventgen::peril::{Peril, Region};
 use catrisk_finterms::layer::LayerId;
-use catrisk_riskquery::LineOfBusiness;
+use catrisk_riskquery::{LineOfBusiness, SegmentMeta};
 
 use crate::format::{crc32, Decoder, Encoder, FOOTER_MAGIC};
 use crate::{Result, StoreError};
@@ -28,7 +34,7 @@ pub struct Footer {
     /// Commit counter; must echo the header's.
     pub commit_seq: u64,
     /// Dictionary entries (raw `u32` dimension values) in code order, one
-    /// list per dimension.
+    /// list per dimension; no list repeats a value.
     pub dict_values: [Vec<u32>; 4],
     /// Per-segment dictionary codes, one vector per dimension.
     pub codes: [Vec<u32>; 4],
@@ -146,6 +152,14 @@ impl Footer {
                     what: format!("dictionary page {dim}"),
                 });
             }
+            // A repeated value would make two codes mean one tag, and a
+            // writer re-interning the page on append would shorten it.
+            let mut seen = HashSet::with_capacity(count);
+            if let Some(code) = values.iter().position(|&value| !seen.insert(value)) {
+                return Err(StoreError::Corrupt(format!(
+                    "footer dictionary {dim} repeats a value at code {code}"
+                )));
+            }
             *slot = values;
         }
 
@@ -223,6 +237,34 @@ impl Footer {
             codes,
             segments,
         })
+    }
+
+    /// The decoded dimension tags of every segment, in segment order.
+    /// Every dictionary value must decode, referenced or not.
+    ///
+    /// # Panics
+    /// If a code column is shorter than the directory or a code points
+    /// past its dictionary page — never for a footer [`Footer::decode`]
+    /// returned, which rejects both.
+    pub fn metas(&self) -> Result<Vec<SegmentMeta>> {
+        fn decode_page<T>(raw: &[u32], decode: fn(u32) -> Result<T>) -> Result<Vec<T>> {
+            raw.iter().map(|&value| decode(value)).collect()
+        }
+        let layers = decode_page(&self.dict_values[0], decode_layer)?;
+        let perils = decode_page(&self.dict_values[1], decode_peril)?;
+        let regions = decode_page(&self.dict_values[2], decode_region)?;
+        let lobs = decode_page(&self.dict_values[3], decode_lob)?;
+        Ok((0..self.segments.len())
+            .map(|segment| {
+                let code = |dim: usize| self.codes[dim][segment] as usize;
+                SegmentMeta::new(
+                    layers[code(0)],
+                    perils[code(1)],
+                    regions[code(2)],
+                    lobs[code(3)],
+                )
+            })
+            .collect())
     }
 }
 
@@ -333,6 +375,27 @@ mod tests {
             Footer::decode(&bytes[..10], 3, 2),
             Err(StoreError::ChecksumMismatch { .. } | StoreError::Truncated { .. })
         ));
+
+        // CRC-valid but not a dictionary: a page that repeats a value.
+        let mut repeated = sample();
+        repeated.dict_values[1].push(encode_peril(Peril::Hurricane));
+        assert!(matches!(
+            Footer::decode(&repeated.encode(), 3, 2),
+            Err(StoreError::Corrupt(message)) if message.contains("repeats a value at code 2")
+        ));
+    }
+
+    #[test]
+    fn metas_decode_codes_through_the_dictionary_pages() {
+        let metas = sample().metas().unwrap();
+        assert_eq!(metas.len(), 3);
+        assert_eq!(metas[1].layer, LayerId(1));
+        assert_eq!(metas[2].peril, Peril::Flood);
+        assert_eq!(metas[2].region, Region::Europe);
+        // An unknown value fails even when no segment references it.
+        let mut unknown = sample();
+        unknown.dict_values[2].push(999);
+        assert!(matches!(unknown.metas(), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

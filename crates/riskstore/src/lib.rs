@@ -15,6 +15,13 @@
 //! query scan reads column slices borrowed straight from the page cache —
 //! no per-query deserialisation of loss pages into fresh `Vec`s, and N
 //! serving processes over the same shard files share one set of pages.
+//! Segment tags cross that boundary decoded: the reader hands the query
+//! engine one [`SegmentMeta`](catrisk_riskquery::SegmentMeta) per segment.
+//! The dictionary coding below — per-dimension dictionary pages plus
+//! per-segment code columns — is this file format's private detail, known
+//! only to the footer codec, the writer's interner and the reader's
+//! refresh check; no code outside this crate sees a code.
+//!
 //! Incremental ingest is first-class: [`StoreWriter::append_segment`] adds
 //! segments to an existing store and [`StoreWriter::commit`] publishes
 //! them; a reader opening the file mid-write always sees the latest
@@ -70,7 +77,8 @@
 //!            4  count
 //!    count × 4  raw values in code order (layer: LayerId.0;
 //!               peril/region/lob: the enum discriminants fixed by
-//!               footer::encode_peril & co.)
+//!               footer::encode_peril & co.); a page never repeats
+//!               a value — decoding rejects one as corrupt
 //!            4  CRC32 of the page (count + values bytes)
 //!   4 × code column, same dimension order:
 //!   num_segments × 4  per-segment dictionary codes

@@ -5,12 +5,10 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use catrisk_eventgen::peril::{Peril, Region};
-use catrisk_finterms::layer::LayerId;
-use catrisk_riskquery::{Dictionary, LineOfBusiness, QuerySession, SegmentMeta, SegmentSource};
+use catrisk_riskquery::{QuerySession, SegmentMeta, SegmentSource};
 
 use crate::commit::{read_committed_state, CommittedState};
-use crate::footer::{decode_layer, decode_lob, decode_peril, decode_region, Footer};
+use crate::footer::Footer;
 use crate::format::{crc32, read_up_to, Header, HEADER_LEN};
 use crate::mmap::MapExtent;
 use crate::{Result, StoreError};
@@ -236,13 +234,11 @@ pub struct StoreReader {
     trial_offset: u64,
     commit_seq: u64,
     metas: Vec<SegmentMeta>,
-    /// Committed data offsets, the prefix fingerprint refresh validates.
-    data_offsets: Vec<u64>,
+    /// The absorbed footer's raw dictionary pages, code columns and data
+    /// offsets: the prefix fingerprint refresh validates.
+    dict_values: [Vec<u32>; 4],
     codes: [Vec<u32>; 4],
-    layer_dict: Dictionary<LayerId>,
-    peril_dict: Dictionary<Peril>,
-    region_dict: Dictionary<Region>,
-    lob_dict: Dictionary<LineOfBusiness>,
+    data_offsets: Vec<u64>,
     columns: ColumnRegion,
     /// Backing fixed at open: every refresh stages with the same kind.
     backing: RegionBacking,
@@ -414,61 +410,26 @@ impl StoreReader {
         state: &CommittedState,
         footer: &Footer,
     ) -> Result<Absorb> {
+        // Dictionary pages, code columns and the segment directory all
+        // grow append-only: anything else inside the known prefix means
+        // the file was replaced.
         let known = self.metas.len();
-        if footer.segments.len() < known {
+        let extends = footer.segments.len() >= known
+            && (0..4).all(|dim| {
+                footer.dict_values[dim]
+                    .iter()
+                    .zip(&self.dict_values[dim])
+                    .all(|(new, old)| new == old)
+                    && footer.codes[dim][..known] == self.codes[dim][..known]
+            })
+            && footer.segments[..known]
+                .iter()
+                .zip(&self.data_offsets)
+                .all(|(entry, &offset)| entry.data_offset == offset);
+        if !extends {
             return Ok(Absorb::Diverged);
         }
-        // Dictionaries grow append-only: re-interning the footer's values
-        // into clones must reproduce the existing codes exactly.  A
-        // mismatch inside the known prefix means the file was replaced; a
-        // duplicate in the new tail means the footer itself is corrupt.
-        let mut layer_dict = self.layer_dict.clone();
-        let mut peril_dict = self.peril_dict.clone();
-        let mut region_dict = self.region_dict.clone();
-        let mut lob_dict = self.lob_dict.clone();
-        let mut diverged = false;
-        {
-            let mut absorb_dict = |dim: usize, intern: &mut dyn FnMut(u32) -> Result<u32>| {
-                for (code, &raw) in footer.dict_values[dim].iter().enumerate() {
-                    let known_values = match dim {
-                        0 => self.layer_dict.len(),
-                        1 => self.peril_dict.len(),
-                        2 => self.region_dict.len(),
-                        _ => self.lob_dict.len(),
-                    };
-                    if intern(raw)? != code as u32 {
-                        if code < known_values {
-                            diverged = true;
-                            return Ok(());
-                        }
-                        return Err(StoreError::Corrupt(format!(
-                            "footer dictionary {dim} repeats a value at code {code}"
-                        )));
-                    }
-                }
-                Ok(())
-            };
-            absorb_dict(0, &mut |raw| Ok(layer_dict.intern(decode_layer(raw)?)))?;
-            absorb_dict(1, &mut |raw| Ok(peril_dict.intern(decode_peril(raw)?)))?;
-            absorb_dict(2, &mut |raw| Ok(region_dict.intern(decode_region(raw)?)))?;
-            absorb_dict(3, &mut |raw| Ok(lob_dict.intern(decode_lob(raw)?)))?;
-        }
-        if diverged {
-            return Ok(Absorb::Diverged);
-        }
-        // Code columns and the segment directory are append-only too.
-        for dim in 0..4 {
-            if footer.codes[dim][..known] != self.codes[dim][..known] {
-                return Ok(Absorb::Diverged);
-            }
-        }
-        if footer.segments[..known]
-            .iter()
-            .zip(&self.data_offsets)
-            .any(|(entry, &offset)| entry.data_offset != offset)
-        {
-            return Ok(Absorb::Diverged);
-        }
+        let metas = footer.metas()?;
 
         // Load (or map) and CRC-verify the new segments into a staging
         // region, so an I/O error mid-load leaves this reader untouched.
@@ -476,19 +437,15 @@ impl StoreReader {
 
         self.columns.append(tail);
         self.committed_end = state.committed_end;
-        self.layer_dict = layer_dict;
-        self.peril_dict = peril_dict;
-        self.region_dict = region_dict;
-        self.lob_dict = lob_dict;
-        self.codes = footer.codes.clone();
-        for segment in known..footer.segments.len() {
-            self.metas.push(SegmentMeta::new(
-                *self.layer_dict.value(footer.codes[0][segment]),
-                *self.peril_dict.value(footer.codes[1][segment]),
-                *self.region_dict.value(footer.codes[2][segment]),
-                *self.lob_dict.value(footer.codes[3][segment]),
-            ));
+        self.metas = metas;
+        for dim in 0..4 {
+            // A (hand-built) page shorter than the absorbed one keeps the
+            // longer prefix to check later footers against.
+            if footer.dict_values[dim].len() > self.dict_values[dim].len() {
+                self.dict_values[dim] = footer.dict_values[dim].clone();
+            }
         }
+        self.codes = footer.codes.clone();
         self.data_offsets = footer
             .segments
             .iter()
@@ -728,8 +685,8 @@ impl SegmentSource for StoreReader {
         self.num_trials
     }
 
-    fn num_segments(&self) -> usize {
-        self.metas.len()
+    fn metas(&self) -> &[SegmentMeta] {
+        &self.metas
     }
 
     fn year_losses(&self, segment: usize) -> &[f64] {
@@ -739,44 +696,14 @@ impl SegmentSource for StoreReader {
     fn max_occ_losses(&self, segment: usize) -> &[f64] {
         &self.columns.segment_pair(segment, self.num_trials)[self.num_trials..]
     }
-
-    fn layer_codes(&self) -> &[u32] {
-        &self.codes[0]
-    }
-
-    fn peril_codes(&self) -> &[u32] {
-        &self.codes[1]
-    }
-
-    fn region_codes(&self) -> &[u32] {
-        &self.codes[2]
-    }
-
-    fn lob_codes(&self) -> &[u32] {
-        &self.codes[3]
-    }
-
-    fn layer_dict(&self) -> &Dictionary<LayerId> {
-        &self.layer_dict
-    }
-
-    fn peril_dict(&self) -> &Dictionary<Peril> {
-        &self.peril_dict
-    }
-
-    fn region_dict(&self) -> &Dictionary<Region> {
-        &self.region_dict
-    }
-
-    fn lob_dict(&self) -> &Dictionary<LineOfBusiness> {
-        &self.lob_dict
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::writer::{StoreOptions, StoreWriter};
+    use catrisk_eventgen::peril::{Peril, Region};
+    use catrisk_finterms::layer::LayerId;
     use catrisk_riskquery::prelude::*;
     use std::fs::OpenOptions;
     use std::path::PathBuf;
@@ -833,8 +760,6 @@ mod tests {
         assert_eq!(reader.meta(1).peril, Peril::Flood);
         assert_eq!(reader.meta(1).region, Region::Japan);
         assert_eq!(reader.metas().len(), 2);
-        assert_eq!(reader.peril_codes(), &[0, 1]);
-        assert_eq!(*reader.peril_dict().value(1), Peril::Flood);
         assert!(reader.memory_bytes() >= 2 * 2 * 3 * 8);
         assert!(!reader.is_empty());
         let _ = std::fs::remove_file(&path);

@@ -1,13 +1,12 @@
 //! The buffered, incremental store writer.
 
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use catrisk_engine::ylt::YearLossTable;
-use catrisk_eventgen::peril::{Peril, Region};
-use catrisk_finterms::layer::LayerId;
-use catrisk_riskquery::{Dictionary, LineOfBusiness, SegmentMeta};
+use catrisk_riskquery::SegmentMeta;
 
 use crate::commit::read_committed_state;
 use crate::footer::{encode_layer, encode_lob, encode_peril, encode_region, Footer, SegmentEntry};
@@ -37,6 +36,24 @@ impl Default for StoreOptions {
     }
 }
 
+/// One dimension's dictionary page under construction: raw dimension
+/// values in order of first appearance, each coded by its position.
+#[derive(Debug, Default)]
+struct Dictionary {
+    values: Vec<u32>,
+    codes: HashMap<u32, u32>,
+}
+
+impl Dictionary {
+    /// Returns the code of `value`, appending it to the page if new.
+    fn intern(&mut self, value: u32) -> u32 {
+        *self.codes.entry(value).or_insert_with(|| {
+            self.values.push(value);
+            u32::try_from(self.values.len() - 1).expect("dictionary overflow")
+        })
+    }
+}
+
 /// Writes segments into a store file, buffered, with explicit commits.
 ///
 /// Appended segments become durable and reader-visible only at
@@ -56,10 +73,8 @@ pub struct StoreWriter {
     end: u64,
     /// Segments included in the last committed footer.
     committed_segments: usize,
-    layer_dict: Dictionary<LayerId>,
-    peril_dict: Dictionary<Peril>,
-    region_dict: Dictionary<Region>,
-    lob_dict: Dictionary<LineOfBusiness>,
+    /// Dictionary pages, dimension order layer / peril / region / lob.
+    dicts: [Dictionary; 4],
     codes: [Vec<u32>; 4],
     directory: Vec<SegmentEntry>,
 }
@@ -112,10 +127,7 @@ impl StoreWriter {
             commit_seq: 0,
             end: HEADER_LEN,
             committed_segments: 0,
-            layer_dict: Dictionary::new(),
-            peril_dict: Dictionary::new(),
-            region_dict: Dictionary::new(),
-            lob_dict: Dictionary::new(),
+            dicts: Default::default(),
             codes: Default::default(),
             directory: Vec::new(),
         })
@@ -142,15 +154,21 @@ impl StoreWriter {
             commit_seq: state.header.commit_seq,
             end: state.committed_end,
             committed_segments: 0,
-            layer_dict: Dictionary::new(),
-            peril_dict: Dictionary::new(),
-            region_dict: Dictionary::new(),
-            lob_dict: Dictionary::new(),
+            dicts: Default::default(),
             codes: Default::default(),
             directory: Vec::new(),
         };
         if let Some(footer) = state.footer {
-            writer.load_footer(&footer)?;
+            // Every tag must decode, exactly as for a reader.
+            footer.metas()?;
+            // Decoding rejected repeated values, so re-interning each page
+            // in order reproduces its codes exactly.
+            for (dict, values) in writer.dicts.iter_mut().zip(&footer.dict_values) {
+                for &value in values {
+                    dict.intern(value);
+                }
+            }
+            writer.codes = footer.codes;
             writer.committed_segments = footer.segments.len();
             writer.directory = footer.segments;
         }
@@ -158,25 +176,6 @@ impl StoreWriter {
         // Drop uncommitted bytes from an interrupted append.
         writer.file.set_len(writer.end)?;
         Ok(writer)
-    }
-
-    /// Rebuilds the in-memory dictionaries and code vectors from a decoded
-    /// footer (intern order is code order, so codes are preserved).
-    fn load_footer(&mut self, footer: &Footer) -> Result<()> {
-        for &raw in &footer.dict_values[0] {
-            self.layer_dict.intern(crate::footer::decode_layer(raw)?);
-        }
-        for &raw in &footer.dict_values[1] {
-            self.peril_dict.intern(crate::footer::decode_peril(raw)?);
-        }
-        for &raw in &footer.dict_values[2] {
-            self.region_dict.intern(crate::footer::decode_region(raw)?);
-        }
-        for &raw in &footer.dict_values[3] {
-            self.lob_dict.intern(crate::footer::decode_lob(raw)?);
-        }
-        self.codes = footer.codes.clone();
-        Ok(())
     }
 
     /// Trials every segment must hold.
@@ -244,10 +243,15 @@ impl StoreWriter {
         let occ_page_crcs = self.write_column(max_occ)?;
         self.end = data_offset + 2 * (self.num_trials as u64) * 8;
 
-        self.codes[0].push(self.layer_dict.intern(meta.layer));
-        self.codes[1].push(self.peril_dict.intern(meta.peril));
-        self.codes[2].push(self.region_dict.intern(meta.region));
-        self.codes[3].push(self.lob_dict.intern(meta.lob));
+        let raw = [
+            encode_layer(meta.layer),
+            encode_peril(meta.peril),
+            encode_region(meta.region),
+            encode_lob(meta.lob),
+        ];
+        for ((codes, dict), value) in self.codes.iter_mut().zip(&mut self.dicts).zip(raw) {
+            codes.push(dict.intern(value));
+        }
         self.directory.push(SegmentEntry {
             data_offset,
             year_page_crcs,
@@ -298,28 +302,7 @@ impl StoreWriter {
         self.commit_seq += 1;
         let footer = Footer {
             commit_seq: self.commit_seq,
-            dict_values: [
-                self.layer_dict
-                    .values()
-                    .iter()
-                    .map(|&l| encode_layer(l))
-                    .collect(),
-                self.peril_dict
-                    .values()
-                    .iter()
-                    .map(|&p| encode_peril(p))
-                    .collect(),
-                self.region_dict
-                    .values()
-                    .iter()
-                    .map(|&r| encode_region(r))
-                    .collect(),
-                self.lob_dict
-                    .values()
-                    .iter()
-                    .map(|&l| encode_lob(l))
-                    .collect(),
-            ],
+            dict_values: self.dicts.each_ref().map(|dict| dict.values.clone()),
             codes: self.codes.clone(),
             segments: self.directory.clone(),
         };
@@ -365,6 +348,9 @@ impl StoreWriter {
 mod tests {
     use super::*;
     use crate::reader::StoreReader;
+    use catrisk_eventgen::peril::{Peril, Region};
+    use catrisk_finterms::layer::LayerId;
+    use catrisk_riskquery::LineOfBusiness;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -449,6 +435,75 @@ mod tests {
         let len = std::fs::metadata(&path).unwrap().len();
         assert_eq!(writer.commit().unwrap(), seq);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn dictionary_codes_values_by_first_appearance() {
+        let mut dict = Dictionary::default();
+        assert_eq!((dict.intern(7), dict.intern(3), dict.intern(7)), (0, 1, 0));
+        assert_eq!(dict.values, vec![7, 3]);
+    }
+
+    /// Republishes the committed footer of `path` with its peril page and
+    /// code column replaced, as one further commit: a CRC-valid footer the
+    /// writer itself would never produce.
+    fn recommit_with_perils(path: &Path, page: Vec<u32>, codes: Vec<u32>) {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .unwrap();
+        let state = read_committed_state(&mut file).unwrap();
+        let mut footer = state.footer.unwrap();
+        footer.commit_seq += 1;
+        footer.dict_values[1] = page;
+        footer.codes[1] = codes;
+        let bytes = footer.encode();
+        let offset = align8(state.committed_end);
+        file.set_len(offset).unwrap();
+        file.seek(SeekFrom::Start(offset)).unwrap();
+        file.write_all(&bytes).unwrap();
+        let header = Header {
+            footer_offset: offset,
+            footer_len: bytes.len() as u64,
+            commit_seq: footer.commit_seq,
+            ..state.header
+        };
+        file.seek(SeekFrom::Start(Header::slot_offset(header.commit_seq)))
+            .unwrap();
+        file.write_all(&header.encode()).unwrap();
+    }
+
+    fn repeats_a_value<T>(result: Result<T>) -> bool {
+        matches!(result, Err(StoreError::Corrupt(message)) if message.contains("repeats a value"))
+    }
+
+    #[test]
+    fn a_repeated_dictionary_value_is_corrupt_on_every_open_path() {
+        let path = temp_path("repeated-dict");
+        let mut writer = StoreWriter::create(&path, 2).unwrap();
+        writer
+            .append_segment(meta(0, Peril::Hurricane), &[1.0, 2.0], &[1.0, 1.5])
+            .unwrap();
+        writer
+            .append_segment(meta(1, Peril::Flood), &[3.0, 4.0], &[2.0, 2.0])
+            .unwrap();
+        writer.commit().unwrap();
+        drop(writer);
+        let mut reader = StoreReader::open(&path).unwrap();
+
+        // Hurricane twice: re-interning the page would shorten it to
+        // [HU, FL], so an append's next commit would leave code 2 past
+        // its end and the file unreadable.
+        let hurricane = encode_peril(Peril::Hurricane);
+        let page = vec![hurricane, hurricane, encode_peril(Peril::Flood)];
+        recommit_with_perils(&path, page, vec![0, 2]);
+
+        assert!(repeats_a_value(StoreWriter::open_append(&path)));
+        assert!(repeats_a_value(StoreReader::open(&path)));
+        assert!(repeats_a_value(reader.refresh()));
+        assert_eq!(reader.num_segments(), 2, "the old snapshot keeps serving");
         let _ = std::fs::remove_file(&path);
     }
 }
