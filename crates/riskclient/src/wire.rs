@@ -147,7 +147,7 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireError {
     /// Machine-readable kind: `parse`, `invalid`, `evicted`,
-    /// `overloaded` or `shutting-down`.
+    /// `overloaded`, `shutting-down` or `internal`.
     pub kind: String,
     /// Human-readable message.
     pub message: String,

@@ -12,14 +12,15 @@
 //! alone.  What was missing is the layer that turns *concurrent client
 //! requests* into those batches.  This crate is that layer.
 //!
-//! ## Architecture: queue → window → fused batch → reply
+//! ## Architecture: queue → window → batch step → reply
 //!
 //! ```text
-//!  clients        admission            batch scheduler          workers
-//!  ───────        ─────────            ───────────────          ───────
-//!  submit ──▶ bounded queue ──▶ window closes at max_batch ──▶ QuerySession::run
-//!  submit ──▶  (Overloaded      or batch_window µs,            (one fused scan,
-//!  submit ──▶   past depth)     whichever first)                rayon pool)
+//!  clients      admission          driver (worker threads)         batch core
+//!  ───────      ─────────          ───────────────────────         ──────────
+//!  submit ──▶ bounded queue ──▶ window closes at max_batch ──▶ step: refresh → dedup
+//!  submit ──▶  (Overloaded      or batch_window µs,            → result cache → grid
+//!  submit ──▶   past depth)     whichever first                (plan → cells → fused
+//!                                                              scan → combine → finalise)
 //!                                                                   │
 //!  Ticket::wait ◀── reply slots (result + latency attribution) ◀────┘
 //! ```
@@ -33,15 +34,28 @@
 //! * **Batch window**: a worker that finds the queue non-empty holds a
 //!   window open, closing it after [`ServerConfig::max_batch`] requests
 //!   or [`ServerConfig::batch_window`] microseconds, whichever comes
-//!   first.  Everything pending rides one batch.
-//! * **Fused batch**: identical queries from different submitters are
-//!   deduplicated (— [`Query`](catrisk_riskquery::Query) is `Eq + Hash`
-//!   with a total, NaN-free float treatment precisely so this map cannot
-//!   collide or miss), then the whole batch goes through one
-//!   [`QuerySession::run`](catrisk_riskquery::QuerySession::run): shared
-//!   scan specs collapse, the remaining scans fuse into one pass per
-//!   trial window, order statistics are computed once per spec.  N
-//!   concurrent "mean/TVaR/EP of slice X" requests cost ~1 scan, not N.
+//!   first.  Everything pending rides one batch.  The closing instant is
+//!   a pure function of the opening instant, the queue length and the
+//!   configuration.
+//! * **Core and driver**: the [`Server`] is a thin driver — worker
+//!   threads, the queue and the real clock — around a crate-private
+//!   batch core that owns the caches, counters and telemetry.  The driver
+//!   drains a batch and hands it to one core step together with the
+//!   instant it started; the step never waits, never touches the queue
+//!   or a reply slot, and reads the clock only to measure stages.  A
+//!   panic inside a step fails that batch's requests with
+//!   [`ServeError::Internal`] and the worker takes the next batch, so no
+//!   ticket is stranded.
+//! * **Grid path**: a step deduplicates identical queries from different
+//!   submitters (— [`Query`](catrisk_riskquery::Query) is `Eq + Hash`
+//!   with a total, NaN-free float treatment precisely so this cannot
+//!   collide or miss), answers what it can from the result cache, and
+//!   sends every miss, on every topology, through one grid executor:
+//!   misses grouped by scan spec and planned once per spec, each plan cut
+//!   into (segment-range × trial-window) cells, every missing cell
+//!   scanned in one fused pass shared by all specs that miss it, then
+//!   combined and finalised once per spec.  N concurrent "mean/TVaR/EP of
+//!   slice X" requests cost ~1 scan, not N.
 //! * **Reply**: every request's [`Ticket`] resolves to the result plus
 //!   [`RequestTimings`] — queue wait, batch execution time, batch size —
 //!   so tail latency is attributable.  Accepted tickets are always
@@ -116,6 +130,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod batch;
 mod cache;
 mod sync;
 

@@ -67,9 +67,9 @@
 //! `kind` is one of `result`, `pong`, `stats`, `trace`, `traces`, `bye`,
 //! `shutting-down` or `error`.  Failed requests carry `ok=false` and an
 //! `error` object whose `kind` is `parse`, `invalid`, `evicted`,
-//! `overloaded` or `shutting-down` — an overloaded rejection is a
-//! well-formed reply, not a dropped connection, so clients can implement
-//! typed backoff.
+//! `overloaded`, `shutting-down` or `internal` — an overloaded rejection
+//! is a well-formed reply, not a dropped connection, so clients can
+//! implement typed backoff.
 
 use catrisk_riskquery::{parse_query, Query};
 
@@ -442,5 +442,11 @@ mod tests {
         assert_eq!(reply.error.as_ref().unwrap().kind, "overloaded");
         let reply = WireReply::from(&ServeError::InvalidQuery("x".to_string()));
         assert_eq!(reply.error.as_ref().unwrap().kind, "invalid");
+        let reply = WireReply::from(&ServeError::Internal("boom".to_string()));
+        let error = reply.error.unwrap();
+        assert_eq!(
+            (error.kind.as_str(), error.message.as_str()),
+            ("internal", "internal error: boom")
+        );
     }
 }

@@ -1,26 +1,21 @@
-//! The micro-batching server core: bounded queue → batch window →
-//! refresh → cache → fused scan → reply slots.
+//! The micro-batching server: a thin driver around the crate-private
+//! batch core (`batch.rs`) — bounded queue → batch window → one core step
+//! per batch → reply slots.  The driver owns the threads, the queue and
+//! the clock; the core owns everything a batch reads and writes.
 
-use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use catrisk_riskquery::{
-    combine, finalize, group_by_key, plan_cells, scan_trial_partial, scan_trial_partials_fused,
-    Cell, PartialAggregate, Query, QueryPlan, QueryResult, ScanAttribution, SegmentSource,
-    TrialPartial,
-};
-use catrisk_telemetry::{
-    EventRecord, EventValue, MetricsSnapshot, Span, TraceLookup, TraceRecord, TraceSpan,
-};
+use catrisk_riskquery::{Query, QueryPlan, QueryResult};
+use catrisk_telemetry::{EventRecord, EventValue, MetricsSnapshot, Span, TraceLookup, TraceRecord};
 
-use crate::cache::{PartialCache, ResultCache, SpecKey};
-use crate::source::{SourceProvider, SourceSnapshot};
-use crate::stats::{Counters, RequestTimings, StatsSnapshot};
+use crate::batch::{close_at, BatchCore, Request};
+use crate::source::SourceProvider;
+use crate::stats::{RequestTimings, StatsSnapshot};
 use crate::sync::{lock, wait, wait_timeout};
-use crate::telemetry::ServerTelemetry;
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +100,10 @@ pub enum ServeError {
     InvalidQuery(String),
     /// The server is shutting down and no longer accepts requests.
     ShuttingDown,
+    /// Executing the request's batch panicked; the message is the panic's.
+    /// Every member of that batch gets this reply, and the server goes on
+    /// serving.
+    Internal(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -115,6 +114,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             ServeError::ShuttingDown => f.write_str("server is shutting down"),
+            ServeError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -130,6 +130,7 @@ impl ServeError {
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::InvalidQuery(_) => "invalid",
             ServeError::ShuttingDown => "shutting-down",
+            ServeError::Internal(_) => "internal",
         }
     }
 }
@@ -195,20 +196,11 @@ impl Ticket {
     }
 }
 
-/// One admitted request waiting in the queue.
-struct Pending {
-    query: Query,
-    slot: Arc<ReplySlot>,
-    enqueued: Instant,
-    /// The request's trace id, 0 when it was not sampled for tracing.
-    trace_id: u64,
-}
-
-/// Queue state guarded by one mutex: the pending requests plus the
-/// shutdown latch the workers observe.
+/// Queue state guarded by one mutex: the pending requests with their
+/// reply slots, plus the shutdown latch the workers observe.
 #[derive(Default)]
 struct QueueState {
-    pending: VecDeque<Pending>,
+    pending: VecDeque<(Request, Arc<ReplySlot>)>,
     /// Requests ever admitted — the trace-sampling modulus ticks off this
     /// count inside the admission critical section, so "every Nth" is
     /// exact even under concurrent submitters.
@@ -217,16 +209,11 @@ struct QueueState {
 }
 
 struct Shared<P> {
-    provider: P,
-    config: ServerConfig,
+    core: BatchCore<P>,
     queue: Mutex<QueueState>,
     /// Signalled on every admit and on shutdown; workers wait on it both
     /// when idle and while a batch window is open.
     arrived: Condvar,
-    cache: Mutex<ResultCache>,
-    partials: Mutex<PartialCache>,
-    counters: Counters,
-    telemetry: ServerTelemetry,
 }
 
 /// A micro-batching query server over any [`SourceProvider`] — a shared
@@ -257,8 +244,8 @@ pub struct Server<P: SourceProvider> {
 impl<P: SourceProvider> std::fmt::Debug for Server<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("segments", &self.shared.provider.num_segments())
-            .field("config", &self.shared.config)
+            .field("segments", &self.shared.core.provider.num_segments())
+            .field("config", &self.shared.core.config)
             .finish()
     }
 }
@@ -266,31 +253,12 @@ impl<P: SourceProvider> std::fmt::Debug for Server<P> {
 impl<P: SourceProvider> Server<P> {
     /// Starts a server over `provider` with the given configuration.
     pub fn new(provider: P, config: ServerConfig) -> Self {
-        let telemetry = ServerTelemetry::new(
-            config.recorder_capacity,
-            config.metrics_threshold_us,
-            config.trace_sample_every,
-            config.trace_capacity,
-        );
-        // The provider hooks its own metrics (store opens, refresh costs,
-        // union assembly) into the same registry the serving stages
-        // record into, so one `metrics` scrape covers the whole path.
-        provider.attach_telemetry(&telemetry.registry);
         let shared = Arc::new(Shared {
-            provider,
-            config: ServerConfig {
-                max_batch: config.max_batch.max(1),
-                workers: config.workers.max(1),
-                ..config
-            },
+            core: BatchCore::new(provider, config),
             queue: Mutex::new(QueueState::default()),
             arrived: Condvar::new(),
-            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            partials: Mutex::new(PartialCache::new(config.partial_cache_capacity)),
-            counters: Counters::register(&telemetry.registry),
-            telemetry,
         });
-        let workers = (0..shared.config.workers)
+        let workers = (0..shared.core.config.workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -312,12 +280,12 @@ impl<P: SourceProvider> Server<P> {
 
     /// The provider this server answers queries over.
     pub fn provider(&self) -> &P {
-        &self.shared.provider
+        &self.shared.core.provider
     }
 
     /// The active configuration (after clamping).
     pub fn config(&self) -> ServerConfig {
-        self.shared.config
+        self.shared.core.config
     }
 
     /// Submits one query for batched execution.
@@ -344,8 +312,9 @@ impl<P: SourceProvider> Server<P> {
     fn submit_inner(&self, query: Query, force_trace: bool) -> Result<Ticket, ServeError> {
         // One admission sample per attempt, whatever the outcome — the
         // span records on every exit path below.
-        let _admission = Span::enter(&self.shared.telemetry.admission);
-        if let Err(err) = QueryPlan::validate_trials(self.shared.provider.num_trials(), &query) {
+        let core = &self.shared.core;
+        let _admission = Span::enter(&core.telemetry.admission);
+        if let Err(err) = QueryPlan::validate_trials(core.provider.num_trials(), &query) {
             return Err(ServeError::InvalidQuery(err.to_string()));
         }
         let slot = Arc::new(ReplySlot::default());
@@ -355,10 +324,9 @@ impl<P: SourceProvider> Server<P> {
                 return Err(ServeError::ShuttingDown);
             }
             let depth = queue.pending.len();
-            if depth >= self.shared.config.queue_depth {
-                self.shared.counters.rejected.inc();
-                self.shared
-                    .telemetry
+            if depth >= core.config.queue_depth {
+                core.counters.rejected.inc();
+                core.telemetry
                     .recorder
                     .record("overload", [("depth", EventValue::from(depth))]);
                 return Err(ServeError::Overloaded { depth });
@@ -367,30 +335,27 @@ impl<P: SourceProvider> Server<P> {
             // every Nth *admitted* request gets an id, so with N = 1 the
             // `traces_started` counter equals `submitted` exactly.  With
             // sampling off this is one branch.
-            let sample_every = self.shared.telemetry.trace_sample_every;
+            let sample_every = core.telemetry.trace_sample_every;
             let trace_id = if force_trace
                 || (sample_every > 0 && queue.admitted.is_multiple_of(sample_every))
             {
-                self.shared.telemetry.traces.allocate()
+                core.telemetry.traces.allocate()
             } else {
                 0
             };
             queue.admitted += 1;
-            queue.pending.push_back(Pending {
+            let request = Request {
                 query,
-                slot: Arc::clone(&slot),
                 enqueued: Instant::now(),
                 trace_id,
-            });
-            self.shared
-                .counters
-                .max_queue_depth
-                .bump_max(depth as i64 + 1);
+            };
+            queue.pending.push_back((request, Arc::clone(&slot)));
+            core.counters.max_queue_depth.bump_max(depth as i64 + 1);
             trace_id
         };
-        self.shared.counters.submitted.inc();
+        core.counters.submitted.inc();
         if trace_id != 0 {
-            self.shared.counters.traces_started.inc();
+            core.counters.traces_started.inc();
         }
         self.shared.arrived.notify_one();
         Ok(Ticket { slot })
@@ -404,20 +369,20 @@ impl<P: SourceProvider> Server<P> {
 
     /// A snapshot of the server counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.counters.snapshot()
+        self.shared.core.counters.snapshot()
     }
 
     /// A snapshot of every metric: the counters plus the per-stage latency
     /// histograms (see [`crate::telemetry::stage`] for the taxonomy).
     /// This is what the `metrics` protocol command returns.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.telemetry.registry.snapshot()
+        self.shared.core.telemetry.registry.snapshot()
     }
 
     /// The flight recorder's current contents, oldest first.  This is
     /// what the `recorder` protocol command returns.
     pub fn recorder_dump(&self) -> Vec<EventRecord> {
-        self.shared.telemetry.recorder.dump()
+        self.shared.core.telemetry.recorder.dump()
     }
 
     /// The recorder events with `seq >= since`, oldest first — the
@@ -425,20 +390,20 @@ impl<P: SourceProvider> Server<P> {
     /// command (sequence numbers never reset, so repeated scrapes
     /// correlate exactly).
     pub fn recorder_dump_since(&self, since: u64) -> Vec<EventRecord> {
-        self.shared.telemetry.recorder.dump_since(since)
+        self.shared.core.telemetry.recorder.dump_since(since)
     }
 
     /// Looks up a trace by id — the `trace <id>` protocol command.
     /// Distinguishes retained, evicted (a real id whose record aged out)
     /// and unknown (never issued by this server).
     pub fn trace(&self, id: u64) -> TraceLookup {
-        self.shared.telemetry.traces.lookup(id)
+        self.shared.core.telemetry.traces.lookup(id)
     }
 
     /// The `n` slowest retained traces, slowest first — the
     /// `trace slowest N` protocol command.
     pub fn slowest_traces(&self, n: usize) -> Vec<TraceRecord> {
-        self.shared.telemetry.traces.slowest(n)
+        self.shared.core.telemetry.traces.slowest(n)
     }
 
     /// Stops accepting requests, drains the queue (every accepted ticket
@@ -461,588 +426,67 @@ impl<P: SourceProvider> Drop for Server<P> {
     }
 }
 
-/// Worker body: wait for a request, hold the batch window open, drain up
-/// to `max_batch`, execute the batch, deliver replies; on shutdown keep
-/// draining until the queue is empty, then exit.
+/// Worker body: wait for a request, hold the batch window open until
+/// [`close_at`], drain up to `max_batch`, step the core and deliver its
+/// replies; on shutdown keep draining until the queue is empty, then exit.
+///
+/// A panic inside a step fails that batch's requests with
+/// [`ServeError::Internal`] instead of stranding their tickets, and the
+/// worker goes on to the next batch.
 fn worker_loop<P: SourceProvider>(shared: &Shared<P>) {
+    let core = &shared.core;
     loop {
-        let batch: Vec<Pending> = {
+        let (batch, slots): (Vec<Request>, Vec<Arc<ReplySlot>>) = {
             let mut queue = lock(&shared.queue);
-            loop {
-                if !queue.pending.is_empty() {
-                    break;
-                }
+            while queue.pending.is_empty() {
                 if queue.shutting_down {
                     return;
                 }
                 queue = wait(&shared.arrived, queue);
             }
             // The window opens when a worker first sees the queue
-            // non-empty and closes at `batch_window` or `max_batch`,
-            // whichever comes first.  Shutdown closes it immediately.
-            let deadline = Instant::now() + shared.config.batch_window;
-            while queue.pending.len() < shared.config.max_batch && !queue.shutting_down {
+            // non-empty.  Shutdown closes it immediately.
+            let opened = Instant::now();
+            loop {
+                let close = close_at(opened, queue.pending.len(), &core.config);
                 let now = Instant::now();
-                if now >= deadline || queue.pending.is_empty() {
+                if now >= close || queue.pending.is_empty() || queue.shutting_down {
                     break;
                 }
-                queue = wait_timeout(&shared.arrived, queue, deadline - now);
+                queue = wait_timeout(&shared.arrived, queue, close - now);
             }
-            let take = queue.pending.len().min(shared.config.max_batch);
-            queue.pending.drain(..take).collect()
+            let take = queue.pending.len().min(core.config.max_batch);
+            queue.pending.drain(..take).unzip()
         };
         // Another worker may have drained the queue while this one held
         // the window open.
         if batch.is_empty() {
             continue;
         }
-        execute_batch(shared, batch);
-    }
-}
-
-/// Per-unique-query scan detail captured while a batch executes, for
-/// traced member requests: the scan-stage duration (the same clock read
-/// the scan histogram recorded), the plan-derived attribution, the cell
-/// cache traffic of the query's scan spec and the spec's per-cell child
-/// spans (start offsets relative to the scan's own start).
-struct ScanDetail {
-    micros: u64,
-    attribution: ScanAttribution,
-    partial_hits: u64,
-    partial_misses: u64,
-    children: Vec<TraceSpan>,
-}
-
-/// Executes one batch: refreshes the provider (newly committed segments
-/// become visible and stale cache generations retire), dedups identical
-/// queries across submitters, answers what it can from the result cache,
-/// runs the remaining misses through [`run_grid`], and fulfils every
-/// reply slot.
-///
-/// When any member of the batch is traced, the batch-level stage timings
-/// (refresh, cache lookup, scan) are captured once from the spans' own
-/// clock reads and fanned back out into each traced member's span tree —
-/// a trace can never disagree with the histograms because both consumed
-/// the same measured value.
-fn execute_batch<P: SourceProvider>(shared: &Shared<P>, batch: Vec<Pending>) {
-    let started = Instant::now();
-    // First traced member, if any: the batch-level exemplar id (stamped
-    // on the batch-exec histogram bucket and the slow-batch event).
-    let batch_trace = first_traced(batch.iter().map(|pending| pending.trace_id));
-    let any_traced = batch_trace != 0;
-    // Refresh before snapshotting, so a query submitted after a commit
-    // was published observes it; the refresh cost is attributed to this
-    // batch's exec time.
-    let refresh_span = Span::enter(&shared.telemetry.refresh_probe);
-    let refreshed = shared.provider.refresh();
-    let refresh_micros = refresh_span.finish();
-    let refreshed_shards = refreshed.len() as u64;
-    if !refreshed.is_empty() {
-        shared.counters.refreshes.add(refreshed.len() as u64);
-        shared.telemetry.recorder.record(
-            "refresh",
-            [
-                ("shards", EventValue::from(refreshed.len())),
-                ("indices", EventValue::from(format!("{refreshed:?}"))),
-            ],
-        );
-    }
-    // Stores a watching catalog adopted during that refresh surface as
-    // one counter bump and one recorder event per store, so the fleet
-    // smoke can cross-check `discovered_stores` against the event log.
-    let discovered = shared.provider.drain_discovered();
-    if !discovered.is_empty() {
-        shared
-            .counters
-            .discovered_stores
-            .add(discovered.len() as u64);
-        for path in &discovered {
-            shared.telemetry.recorder.record(
-                "store-discovered",
-                [("path", EventValue::from(path.display().to_string()))],
-            );
-        }
-    }
-
-    let mut unique: Vec<Query> = Vec::with_capacity(batch.len());
-    let mut index_of: HashMap<&Query, usize> = HashMap::with_capacity(batch.len());
-    let assignment: Vec<usize> = batch
-        .iter()
-        .map(|pending| match index_of.entry(&pending.query) {
-            Entry::Occupied(slot) => *slot.get(),
-            Entry::Vacant(slot) => {
-                let index = unique.len();
-                slot.insert(index);
-                unique.push(pending.query.clone());
-                index
-            }
-        })
-        .collect();
-    drop(index_of);
-
-    // The representative trace id of each unique query: the first traced
-    // member that mapped to it.  Scan-stage exemplars and per-shard child
-    // spans are attributed to the representative.
-    let mut rep_trace: Vec<u64> = vec![0; unique.len()];
-    if any_traced {
-        for (pending, &index) in batch.iter().zip(&assignment) {
-            if pending.trace_id != 0 && rep_trace[index] == 0 {
-                rep_trace[index] = pending.trace_id;
-            }
-        }
-    }
-
-    let mut batch_hits = 0usize;
-    let mut batch_misses = 0usize;
-    let mut cache_lookup_micros = 0u64;
-    let mut scan_details: Vec<Option<ScanDetail>> = (0..unique.len()).map(|_| None).collect();
-    let outcomes: Vec<Result<QueryResult, ServeError>> = shared.provider.with_source(|snapshot| {
-        let generations = snapshot.generations;
-        let mut results: Vec<Option<Result<QueryResult, ServeError>>> =
-            (0..unique.len()).map(|_| None).collect();
-        // 1. The generation-keyed cache: a hit is bit-identical to a
-        //    fresh scan of this snapshot by the cache's key contract.
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let cache_lookup = Span::enter(&shared.telemetry.cache_lookup);
-            let mut cache = lock(&shared.cache);
-            for (index, query) in unique.iter().enumerate() {
-                match cache.get(query, generations) {
-                    Some(result) => results[index] = Some(Ok(result)),
-                    None => misses.push(index),
-                }
-            }
-            cache_lookup_micros = cache_lookup.finish_with_exemplar(batch_trace);
-        }
-        batch_hits = unique.len() - misses.len();
-        batch_misses = misses.len();
-        shared.counters.cache_hits.add(batch_hits as u64);
-        shared.counters.cache_misses.add(batch_misses as u64);
-
-        // 2. Every miss, on every topology, takes the one grid path.
-        if !misses.is_empty() {
-            run_grid(
-                shared,
-                &snapshot,
-                &unique,
-                &rep_trace,
-                &misses,
-                &mut results,
-                &mut scan_details,
-            );
-        }
-        results
-            .into_iter()
-            .map(|outcome| outcome.expect("every unique query resolved"))
-            .collect()
-    });
-
-    let exec_micros = started.elapsed().as_micros() as u64;
-    shared
-        .telemetry
-        .batch_exec
-        .record_with_exemplar(exec_micros, batch_trace);
-    let batch_size = batch.len() as u32;
-    // Counters bump before the slots are fulfilled, so a client that just
-    // received its reply already sees itself counted.
-    shared.counters.batches.inc();
-    shared
-        .counters
-        .largest_batch
-        .bump_max(i64::from(batch_size));
-    shared.telemetry.recorder.record(
-        "batch",
-        [
-            ("size", EventValue::from(batch.len())),
-            ("unique", EventValue::from(unique.len())),
-            ("cache_hits", EventValue::from(batch_hits)),
-            ("cache_misses", EventValue::from(batch_misses)),
-            ("exec_micros", EventValue::from(exec_micros)),
-        ],
-    );
-    let threshold = shared.telemetry.slow_batch_threshold_micros;
-    if threshold > 0 && exec_micros > threshold {
-        shared.telemetry.recorder.record(
-            "slow-batch",
-            [
-                ("exec_micros", EventValue::from(exec_micros)),
-                ("threshold_micros", EventValue::from(threshold)),
-                ("batch_size", EventValue::from(batch.len())),
-                // Exemplar: the first traced member of the slow batch
-                // (0 when none was sampled) — resolvable via `trace <id>`.
-                ("trace", EventValue::from(batch_trace)),
-            ],
-        );
-    }
-    let unique_count = unique.len() as u64;
-    let _finalize = Span::enter(&shared.telemetry.finalize);
-    for (pending, unique_index) in batch.into_iter().zip(assignment) {
-        let queue_micros = started
-            .saturating_duration_since(pending.enqueued)
-            .as_micros() as u64;
-        // One queue sample per admitted request, so the queue histogram's
-        // count always equals `completed + failed`.
-        shared
-            .telemetry
-            .queue
-            .record_with_exemplar(queue_micros, pending.trace_id);
-        let timings = RequestTimings {
-            queue_micros,
-            exec_micros,
-            batch_size,
-        };
-        // The trace is assembled from the *same* u64 values the stats and
-        // histograms consumed — `queue_micros` and `exec_micros` above —
-        // never a fresh clock read, which is what makes
-        // `trace.total_micros == queue_micros + exec_micros` an exact
-        // contract rather than an approximation.
-        let trace = (pending.trace_id != 0).then(|| {
-            let total_micros = queue_micros + exec_micros;
-            let mut root = TraceSpan::new("request", 0, total_micros);
-            root.push_child(TraceSpan::new("queue", 0, queue_micros));
-            let mut exec_span = TraceSpan::new("exec", queue_micros, exec_micros)
-                .attr("batch_size", u64::from(batch_size))
-                .attr("batch_unique", unique_count);
-            exec_span.push_child(
-                TraceSpan::new("refresh", exec_span.next_child_start(), refresh_micros)
-                    .attr("shards", refreshed_shards),
-            );
-            let detail = &scan_details[unique_index];
-            exec_span.push_child(
-                TraceSpan::new(
-                    "cache_lookup",
-                    exec_span.next_child_start(),
-                    cache_lookup_micros,
-                )
-                .attr("hit", u64::from(detail.is_none())),
-            );
-            if let Some(detail) = detail {
-                let scan_start = exec_span.next_child_start();
-                let mut scan_span = TraceSpan::new("scan", scan_start, detail.micros)
-                    .attr("segments", detail.attribution.segments as u64)
-                    .attr("trials", detail.attribution.trials as u64)
-                    .attr("groups", detail.attribution.groups as u64)
-                    .attr("bytes", detail.attribution.bytes as u64)
-                    .attr("partial_hits", detail.partial_hits)
-                    .attr("partial_misses", detail.partial_misses);
-                for child in &detail.children {
-                    scan_span.push_child(child.shifted(scan_start));
-                }
-                exec_span.push_child(scan_span);
-            }
-            root.push_child(exec_span);
-            TraceRecord {
-                id: pending.trace_id,
-                total_micros,
-                root,
-            }
-        });
-        // Retain the trace *before* fulfilling the slot, so a client that
-        // just received its traced reply can immediately resolve the id.
-        if let Some(trace) = &trace {
-            if shared.telemetry.traces.insert(trace.clone()) {
-                shared.counters.traces_retained.inc();
-            }
-        }
-        let outcome = match &outcomes[unique_index] {
-            Ok(result) => {
-                shared.counters.completed.inc();
-                Ok(Reply {
-                    result: result.clone(),
-                    timings,
-                    trace,
-                })
-            }
-            Err(err) => {
-                shared.counters.failed.inc();
-                Err(err.clone())
-            }
-        };
-        pending.slot.fulfil(outcome);
-    }
-}
-
-/// The first traced id among `ids` (0 when none is): the exemplar stamped
-/// on a shared stage sample.
-fn first_traced(mut ids: impl Iterator<Item = u64>) -> u64 {
-    ids.find(|&id| id != 0).unwrap_or(0)
-}
-
-/// One result-cache-missing scan spec mid-flight through [`run_grid`]:
-/// the queries sharing it, its plan and cells, the cell partials being
-/// filled, its cell-cache traffic, and (when a member is traced) the
-/// child spans accumulated so far.
-struct SpecMiss {
-    /// Indices into the batch's `unique` queries of the spec's members.
-    members: Vec<usize>,
-    plan: QueryPlan,
-    cells: Vec<Cell>,
-    /// Segment cells per trial window — what [`combine`] chunks by.
-    segment_cells: usize,
-    /// The cell-cache key; `None` for a single-cell plan, which skips the
-    /// cell cache (its key would carry exactly the result cache's
-    /// information, at twice the memory).
-    key: Option<SpecKey>,
-    /// One slot per cell, in cell order; `None` until probed or scanned.
-    parts: Vec<Option<Arc<TrialPartial>>>,
-    hits: u64,
-    /// The first traced member's id (0 when none): the exemplar of the
-    /// spec's stage samples, and the switch for its child spans.
-    trace: u64,
-    /// `scan_shard` / `stitch` child spans, start offsets packed
-    /// sequentially relative to the scan stage's start.
-    children: Vec<TraceSpan>,
-    next_start: u64,
-}
-
-impl SpecMiss {
-    /// The plan cell `ci` scans: the cell's own restriction, or the
-    /// spec's plan when the cell spans every segment.
-    fn cell_plan(&self, ci: usize) -> &QueryPlan {
-        self.cells[ci].plan.as_ref().unwrap_or(&self.plan)
-    }
-}
-
-/// The one way a result-cache miss is answered, on every topology: the
-/// snapshot is a grid of (segment-range × trial-window) cells — 1×1 for
-/// a flat store — and the batch's misses go
-///
-/// 1. **plan**: grouped by scan spec, planned once per spec, each plan
-///    cut into its cells ([`plan_cells`]);
-/// 2. **probe**: multi-cell specs look their cells up in the cell cache
-///    (a cached window is verified against the cell's, so a mismatch is
-///    a miss, never a wrong combine);
-/// 3. **scan**: the still-missing `(spec, cell)` pairs are grouped by
-///    what they scan, and each group rides **one** fused scan — with no
-///    cache lock held (scans are the expensive part and other workers
-///    may be probing);
-/// 4. **publish**: each group's fresh partials of multi-cell specs enter
-///    the cell cache — the same allocations the combine reads, no copy;
-/// 5. **combine + finalise**: once per spec, every member query
-///    finalised from the shared loss vectors, results published to the
-///    result cache.
-///
-/// Count contracts (OBSERVABILITY.md §3.1): every `(spec, cell)` pair is
-/// one `partial_hits` or one `partial_misses`; every fused scan is one
-/// `scan_shard` sample and one `fused_partial_scans`; every answered
-/// miss is one `stitch` sample carrying its spec's combine + finalise
-/// time; every miss (plan failures included) is one scan-stage sample
-/// carrying the whole phase's elapsed time, since all misses rode the
-/// same pass.  A traced member's span tree gets its spec's children, so
-/// its `scan_shard` count equals the spec's contribution to
-/// `partial_misses`.
-fn run_grid<P: SourceProvider>(
-    shared: &Shared<P>,
-    snapshot: &SourceSnapshot<'_>,
-    unique: &[Query],
-    rep_trace: &[u64],
-    misses: &[usize],
-    results: &mut [Option<Result<QueryResult, ServeError>>],
-    scan_details: &mut [Option<ScanDetail>],
-) {
-    let phase_started = Instant::now();
-    let (source, generations) = (snapshot.source, snapshot.generations);
-
-    // 1. Plan.
-    let mut specs: Vec<SpecMiss> = Vec::new();
-    let by_spec = group_by_key(misses.iter().map(|&i| (unique[i].scan_spec(), i)));
-    for (_, members) in by_spec {
-        let query = &unique[members[0]];
-        match QueryPlan::new(source, query) {
-            Ok(plan) => {
-                let (cells, segment_cells) =
-                    plan_cells(&plan, snapshot.grid, source.num_segments());
-                specs.push(SpecMiss {
-                    trace: first_traced(members.iter().map(|&i| rep_trace[i])),
-                    key: (cells.len() > 1).then(|| (query.filter.clone(), query.group_by.clone())),
-                    parts: vec![None; cells.len()],
-                    members,
-                    plan,
-                    cells,
-                    segment_cells,
-                    hits: 0,
-                    children: Vec::new(),
-                    next_start: 0,
-                });
-            }
-            // Unreachable in practice — every query was validated at
-            // submit time and the trial count never shrinks — but each
-            // member still gets its own typed reply.
-            Err(err) => {
-                for index in members {
-                    results[index] = Some(Err(ServeError::InvalidQuery(err.to_string())));
-                }
-            }
-        }
-    }
-
-    // 2. Probe, under one short lock.
-    let stamp = |cell: &Cell| (generations[cell.slot], cell.segments.1 - cell.segments.0);
-    {
-        let mut partials = lock(&shared.partials);
-        for spec in &mut specs {
-            let Some(key) = &spec.key else { continue };
-            for (part, cell) in spec.parts.iter_mut().zip(&spec.cells) {
-                *part = partials
-                    .get(key, cell.slot, stamp(cell))
-                    .filter(|partial| partial.window == cell.window);
-            }
-            spec.hits = spec.parts.iter().flatten().count() as u64;
-        }
-    }
-    let hits: u64 = specs.iter().map(|spec| spec.hits).sum();
-    let probed: u64 = specs.iter().map(|spec| spec.cells.len() as u64).sum();
-    shared.counters.partial_hits.add(hits);
-    shared.counters.partial_misses.add(probed - hits);
-
-    // 3. Scan: one fused pass per distinct (segment range, window).
-    let missing = specs.iter().enumerate().flat_map(|(si, spec)| {
-        let unfilled = spec
-            .cells
-            .iter()
-            .enumerate()
-            .filter(|(ci, _)| spec.parts[*ci].is_none());
-        unfilled.map(move |(ci, cell)| ((cell.segments, cell.window), (si, ci)))
-    });
-    for ((_, (start, end)), members) in group_by_key(missing) {
-        let exemplar = first_traced(members.iter().map(|&(si, _)| specs[si].trace));
-        let (fresh, micros) = {
-            let plans: Vec<&QueryPlan> = members
-                .iter()
-                .map(|&(si, ci)| specs[si].cell_plan(ci))
-                .collect();
-            let cell_scan = Span::enter(&shared.telemetry.scan_shard);
-            let fresh = scan_trial_partials_fused(source, &plans, start, end);
-            (fresh, cell_scan.finish_with_exemplar(exemplar))
-        };
-        shared.counters.fused_partial_scans.inc();
-        // 4. Publish the fresh partials of multi-cell specs — the same
-        //    allocations the combine below reads, no copy.
-        let mut partials = lock(&shared.partials);
-        for ((si, ci), partial) in members.into_iter().zip(fresh) {
-            let spec = &mut specs[si];
-            if spec.trace != 0 {
-                let attribution = spec.cell_plan(ci).attribution_for_window(start, end);
-                spec.children.push(
-                    TraceSpan::new("scan_shard", spec.next_start, micros)
-                        .attr("shard", spec.cells[ci].slot as u64)
-                        .attr("window_start", start as u64)
-                        .attr("window_end", end as u64)
-                        .attr("segments", attribution.segments as u64)
-                        .attr("bytes", attribution.bytes as u64),
-                );
-                spec.next_start += micros;
-            }
-            let partial = Arc::new(partial);
-            if let Some(key) = &spec.key {
-                let cell = &spec.cells[ci];
-                partials.insert(key, cell.slot, stamp(cell), Arc::clone(&partial));
-            }
-            spec.parts[ci] = Some(partial);
-        }
-    }
-
-    // 5. Combine + finalise, once per spec.
-    for spec in &mut specs {
-        let stitch_started = Instant::now();
-        let finals = {
-            let parts: Vec<&TrialPartial> = spec
-                .parts
-                .iter()
-                .map(|part| part.as_deref().expect("probed or scanned"))
-                .collect();
-            let aggregate = match combine(&spec.plan, &parts, spec.segment_cells) {
-                Ok(aggregate) => aggregate,
-                Err(_) => Cow::Owned(self_heal(shared, source, spec)),
-            };
-            finalize(
-                spec.members.iter().map(|&index| &unique[index]),
-                &spec.plan.keys,
-                &spec.plan.segment_counts(),
-                spec.plan.num_trials(),
-                &aggregate,
-            )
-        };
-        let stitch_micros = stitch_started.elapsed().as_micros() as u64;
-        if spec.trace != 0 {
-            spec.children.push(
-                TraceSpan::new("stitch", spec.next_start, stitch_micros)
-                    .attr("parts", spec.cells.len() as u64),
-            );
-        }
-        let mut cache = lock(&shared.cache);
-        for (&index, result) in spec.members.iter().zip(finals) {
-            shared
-                .telemetry
-                .stitch
-                .record_with_exemplar(stitch_micros, rep_trace[index]);
-            cache.insert(unique[index].clone(), generations, result.clone());
-            results[index] = Some(Ok(result));
-        }
-    }
-
-    // One scan-stage sample per miss, each carrying the whole phase.
-    let phase_micros = phase_started.elapsed().as_micros() as u64;
-    for &index in misses {
-        shared
-            .telemetry
-            .scan
-            .record_with_exemplar(phase_micros, rep_trace[index]);
-    }
-    for spec in &specs {
-        for &index in spec.members.iter().filter(|&&index| rep_trace[index] != 0) {
-            scan_details[index] = Some(ScanDetail {
-                micros: phase_micros,
-                attribution: spec.plan.attribution(),
-                partial_hits: spec.hits,
-                partial_misses: spec.cells.len() as u64 - spec.hits,
-                children: spec.children.clone(),
-            });
+        let started = Instant::now();
+        let replies = catch_unwind(AssertUnwindSafe(|| core.step(started, &batch)))
+            .unwrap_or_else(|payload| core.fail(started, &batch, panic_message(&*payload)));
+        for (slot, reply) in slots.iter().zip(replies) {
+            slot.fulfil(reply);
         }
     }
 }
 
-/// The self-heal path after a failed combine: cached cells that cannot
-/// combine disagree with each other, so none of them can be trusted —
-/// unreachable while the cache key contract holds, but a valid query
-/// must never error over cache state.  Purges the spec's cells so the
-/// next execution rescans cleanly, and answers this one by rescanning
-/// the plan as one cell spanning the union, through the reference scan.
-fn self_heal<P: SourceProvider>(
-    shared: &Shared<P>,
-    source: &dyn SegmentSource,
-    spec: &SpecMiss,
-) -> PartialAggregate {
-    let cells = spec.cells.len();
-    shared.telemetry.recorder.record(
-        "stitch-fallback",
-        [
-            ("shards", EventValue::from(cells)),
-            ("cached_parts", EventValue::from(spec.hits)),
-            ("rescanned", EventValue::from(cells as u64 - spec.hits)),
-        ],
-    );
-    if let Some(key) = &spec.key {
-        lock(&shared.partials).purge(key);
-    }
-    shared
-        .telemetry
-        .recorder
-        .record("cache-purge", [("shards", EventValue::from(cells))]);
-    scan_trial_partial(
-        source,
-        &spec.plan,
-        spec.plan.trial_start,
-        spec.plan.trial_end,
-    )
-    .aggregate
+/// The text a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    let formatted = payload.downcast_ref::<String>().map(String::as_str);
+    let literal = || payload.downcast_ref::<&str>().copied();
+    formatted.or_else(literal).unwrap_or("batch step panicked")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SpecKey;
+    use crate::source::SourceSnapshot;
     use crate::test_store::{random_store, sample_queries};
     use catrisk_riskquery::prelude::*;
+    use catrisk_riskquery::scan_trial_partial;
 
     #[test]
     fn served_replies_match_sequential_session() {
@@ -1240,8 +684,8 @@ mod tests {
         assert_eq!(stats.partial_hits, 0, "{stats:?}");
         assert_eq!(stats.partial_misses, misses, "{stats:?}");
         assert_eq!(stats.fused_partial_scans, misses, "{stats:?}");
-        assert_eq!(lock(&server.shared.partials).len(), 0);
-        assert_eq!(lock(&server.shared.cache).len(), queries.len());
+        assert_eq!(lock(&server.shared.core.partials).len(), 0);
+        assert_eq!(lock(&server.shared.core.cache).len(), queries.len());
     }
 
     /// A flat store presented as a two-window trial grid: the executor
@@ -1285,7 +729,11 @@ mod tests {
         let first = by_region(Aggregate::Mean);
         let key: SpecKey = (first.filter.clone(), first.group_by.clone());
         server.query(first).unwrap();
-        assert_eq!(lock(&server.shared.partials).len(), 2, "one entry per cell");
+        assert_eq!(
+            lock(&server.shared.core.partials).len(),
+            2,
+            "one entry per cell"
+        );
 
         // Poison cell 0 with a partial that passes every cache check (its
         // stamp and window are right) but is keyed for another grouping,
@@ -1297,7 +745,7 @@ mod tests {
             .unwrap();
         let plan = QueryPlan::new(&*store, &by_lob).unwrap();
         let poison = scan_trial_partial(&*store, &plan, 0, 32);
-        lock(&server.shared.partials).insert(&key, 0, (0, 8), Arc::new(poison));
+        lock(&server.shared.core.partials).insert(&key, 0, (0, 8), Arc::new(poison));
 
         // Same spec, new aggregate: a result-cache miss that hits both
         // cells, fails to combine, and must still answer exactly.
@@ -1328,7 +776,7 @@ mod tests {
         );
         assert_eq!(of_kind("cache-purge").len(), 1, "{events:?}");
         assert_eq!(
-            lock(&server.shared.partials).len(),
+            lock(&server.shared.core.partials).len(),
             0,
             "the spec's cells are purged, and the heal publishes nothing"
         );
@@ -1339,8 +787,96 @@ mod tests {
             server.query(third.clone()).unwrap().result,
             catrisk_riskquery::execute(&*store, &third).unwrap()
         );
-        assert_eq!(lock(&server.shared.partials).len(), 2);
+        assert_eq!(lock(&server.shared.core.partials).len(), 2);
         assert_eq!(of_kind("stitch-fallback").len(), 1, "no second fallback");
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_typed_and_the_worker_serves_on() {
+        use crate::telemetry::stage;
+        use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
+        use catrisk_eventgen::peril::{Peril, Region};
+        use catrisk_finterms::layer::LayerId;
+
+        // A finite Hurricane segment and a Flood segment holding one NaN
+        // year loss, which the order-statistics sort refuses.
+        let mut store = ResultStore::new(16);
+        for (layer, peril) in [(0, Peril::Hurricane), (1, Peril::Flood)] {
+            let outcomes = (0..16)
+                .map(|t| TrialOutcome {
+                    year_loss: if peril == Peril::Flood && t == 5 {
+                        f64::NAN
+                    } else {
+                        t as f64 * 1.0e3
+                    },
+                    max_occurrence_loss: t as f64,
+                    nonzero_events: 1,
+                })
+                .collect();
+            let meta = SegmentMeta::new(
+                LayerId(layer),
+                peril,
+                Region::Europe,
+                LineOfBusiness::Property,
+            );
+            store
+                .ingest(&YearLossTable::new(LayerId(layer), outcomes), meta)
+                .unwrap();
+        }
+        let store = Arc::new(store);
+        let server = Server::new(
+            Arc::clone(&store),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let var_of = |peril| {
+            QueryBuilder::new()
+                .with_perils([peril])
+                .aggregate(Aggregate::Var { level: 0.99 })
+                .build()
+                .unwrap()
+        };
+        // Wait on a helper thread, so a stranded ticket fails this test
+        // instead of hanging it (the helper is joined only once it has
+        // delivered).
+        let ask = |query| {
+            let ticket = server.submit(query).unwrap();
+            let (sender, receiver) = std::sync::mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                let _ = sender.send(ticket.wait());
+            });
+            let reply = receiver
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a reply within 5 s");
+            helper.join().unwrap();
+            reply
+        };
+
+        match ask(var_of(Peril::Flood)) {
+            Err(ServeError::Internal(message)) => assert!(message.contains("finite"), "{message}"),
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        let hurricane = var_of(Peril::Hurricane);
+        assert_eq!(
+            ask(hurricane.clone()).unwrap().result,
+            catrisk_riskquery::execute(&*store, &hurricane).unwrap()
+        );
+        let stats = server.stats();
+        assert_eq!((stats.completed, stats.failed), (1, 1), "{stats:?}");
+        let metrics = server.metrics();
+        assert_eq!(metrics.histogram(stage::QUEUE).unwrap().count, 2);
+        let panics: Vec<_> = server
+            .recorder_dump()
+            .into_iter()
+            .filter(|event| event.kind == "worker-panic")
+            .collect();
+        assert_eq!(panics.len(), 1);
+        assert_eq!(
+            panics[0].fields[0],
+            ("batch_size".into(), EventValue::U64(1))
+        );
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub mod stage {
     /// Stitch: one sample per partial-cache query, the adjacent-window
     /// combine of the per-shard partials.
     pub const STITCH: &str = "stage_stitch_micros";
-    /// Finalize: one sample per batch, building and fulfilling every
-    /// reply slot.
+    /// Finalize: one sample per batch, building every reply (the driver
+    /// fulfils the reply slots right after).
     pub const FINALIZE: &str = "stage_finalize_micros";
     /// Whole batch execution: one sample per batch (refresh + cache +
     /// scans + finalize).  This is the value the slow-batch threshold is

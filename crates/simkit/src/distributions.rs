@@ -4,12 +4,14 @@
 //! a small set of classical distributions:
 //!
 //! * **frequency** — how many events of a given kind occur in a contractual
-//!   year: [`Poisson`], [`NegativeBinomial`], [`Bernoulli`];
+//!   year: [`Poisson`], [`NegativeBinomial`];
 //! * **severity** — how large a loss is given that an event occurred:
-//!   [`LogNormal`], [`Pareto`], [`Gamma`], [`Beta`] (damage ratios),
-//!   [`Exponential`];
-//! * **auxiliary** — [`Uniform`], [`Normal`], [`Discrete`] and
-//!   [`Empirical`] distributions used by the generators.
+//!   [`LogNormal`], [`Pareto`], [`Gamma`], [`Beta`] (damage ratios);
+//! * **auxiliary** — [`Uniform`], and [`Normal`] (which `LogNormal` and
+//!   `Gamma` draw from).
+//!
+//! Discrete sampling over weighted categories is
+//! [`AliasTable`](crate::sampling::AliasTable), O(1) per draw.
 //!
 //! All samplers draw from a [`SimRng`] and implement the [`Distribution`]
 //! trait so callers can be generic over the severity model.
@@ -67,40 +69,6 @@ impl Uniform {
 impl Distribution<f64> for Uniform {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         self.lo + (self.hi - self.lo) * rng.uniform()
-    }
-}
-
-/// Exponential distribution with rate `lambda` (mean `1/lambda`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with the given rate.
-    pub fn new(lambda: f64) -> Result<Self> {
-        if !(lambda.is_finite() && lambda > 0.0) {
-            return Err(ParamError::new(format!(
-                "Exponential rate must be > 0, got {lambda}"
-            )));
-        }
-        Ok(Self { lambda })
-    }
-
-    /// Rate parameter λ.
-    pub fn rate(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Mean of the distribution (1/λ).
-    pub fn mean(&self) -> f64 {
-        1.0 / self.lambda
-    }
-}
-
-impl Distribution<f64> for Exponential {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        -rng.uniform_open().ln() / self.lambda
     }
 }
 
@@ -365,35 +333,6 @@ impl Distribution<f64> for Pareto {
 // Discrete distributions
 // ---------------------------------------------------------------------------
 
-/// Bernoulli distribution returning `true` with probability `p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution with success probability `p`.
-    pub fn new(p: f64) -> Result<Self> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(ParamError::new(format!(
-                "Bernoulli requires 0 <= p <= 1, got {p}"
-            )));
-        }
-        Ok(Self { p })
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-}
-
-impl Distribution<bool> for Bernoulli {
-    fn sample(&self, rng: &mut SimRng) -> bool {
-        rng.uniform() < self.p
-    }
-}
-
 /// Poisson distribution with mean `lambda`.
 ///
 /// Small means use Knuth multiplication; large means use the PTRS
@@ -529,91 +468,6 @@ impl Distribution<u64> for NegativeBinomial {
     }
 }
 
-/// Discrete distribution over `0..weights.len()` with the given relative weights.
-///
-/// Sampling is O(n) per draw; for hot paths use
-/// [`crate::sampling::AliasTable`] which is O(1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Discrete {
-    cumulative: Vec<f64>,
-}
-
-impl Discrete {
-    /// Creates a discrete distribution from non-negative weights.
-    pub fn new(weights: &[f64]) -> Result<Self> {
-        if weights.is_empty() {
-            return Err(ParamError::new("Discrete requires at least one weight"));
-        }
-        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err(ParamError::new(
-                "Discrete weights must be finite and non-negative",
-            ));
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return Err(ParamError::new("Discrete weights must not all be zero"));
-        }
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for w in weights {
-            acc += w / total;
-            cumulative.push(acc);
-        }
-        *cumulative.last_mut().expect("non-empty") = 1.0;
-        Ok(Self { cumulative })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True when the distribution has no categories (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-}
-
-impl Distribution<usize> for Discrete {
-    fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.uniform();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("finite"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-}
-
-/// Empirical distribution that resamples uniformly from observed values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    values: Vec<f64>,
-}
-
-impl Empirical {
-    /// Creates an empirical distribution from a non-empty sample.
-    pub fn new(values: Vec<f64>) -> Result<Self> {
-        if values.is_empty() {
-            return Err(ParamError::new("Empirical requires at least one value"));
-        }
-        Ok(Self { values })
-    }
-
-    /// Underlying sample values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl Distribution<f64> for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.values[rng.below(self.values.len() as u64) as usize]
-    }
-}
-
 /// Natural log of `n!` via Stirling's series for large `n`, exact for small `n`.
 fn ln_factorial(n: u64) -> f64 {
     const TABLE: [f64; 16] = [
@@ -666,14 +520,6 @@ mod tests {
         assert!((s.mean() - 4.0).abs() < 0.05);
         assert!(Uniform::new(3.0, 3.0).is_err());
         assert!(Uniform::new(f64::NAN, 3.0).is_err());
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let d = Exponential::new(0.25).unwrap();
-        let s = stats_of(&d, 100_000, 2);
-        assert!((s.mean() - 4.0).abs() < 0.1, "mean {}", s.mean());
-        assert!(Exponential::new(0.0).is_err());
     }
 
     #[test]
@@ -742,15 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_frequency() {
-        let d = Bernoulli::new(0.2).unwrap();
-        let mut rng = RngFactory::new(10).stream(0);
-        let hits = (0..100_000).filter(|_| d.sample(&mut rng)).count();
-        assert!((hits as f64 / 100_000.0 - 0.2).abs() < 0.01);
-        assert!(Bernoulli::new(1.2).is_err());
-    }
-
-    #[test]
     fn poisson_small_lambda() {
         let d = Poisson::new(2.5).unwrap();
         let mut rng = RngFactory::new(11).stream(0);
@@ -792,33 +629,6 @@ mod tests {
         assert!((s.mean() - 6.0).abs() < 0.1, "mean {}", s.mean());
         assert!((s.variance() - 18.0).abs() < 1.0, "var {}", s.variance());
         assert!(NegativeBinomial::from_mean_variance(5.0, 4.0).is_err());
-    }
-
-    #[test]
-    fn discrete_respects_weights() {
-        let d = Discrete::new(&[1.0, 0.0, 3.0]).unwrap();
-        let mut rng = RngFactory::new(15).stream(0);
-        let mut counts = [0u32; 3];
-        for _ in 0..80_000 {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = f64::from(counts[2]) / f64::from(counts[0]);
-        assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
-        assert!(Discrete::new(&[]).is_err());
-        assert!(Discrete::new(&[0.0, 0.0]).is_err());
-        assert!(Discrete::new(&[-1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn empirical_resamples_values() {
-        let d = Empirical::new(vec![1.0, 2.0, 3.0]).unwrap();
-        let mut rng = RngFactory::new(16).stream(0);
-        for _ in 0..100 {
-            let v = d.sample(&mut rng);
-            assert!(v == 1.0 || v == 2.0 || v == 3.0);
-        }
-        assert!(Empirical::new(vec![]).is_err());
     }
 
     #[test]

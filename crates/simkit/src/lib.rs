@@ -20,9 +20,10 @@
 //!   *i*-th trial always sees the same randomness regardless of the
 //!   number of worker threads.
 //! * [`distributions`] — samplers implemented from scratch: uniform,
-//!   exponential, normal, log-normal, gamma, beta, Pareto, Poisson,
-//!   negative binomial, Bernoulli and empirical/discrete distributions.
-//! * [`stats`] — Welford accumulators, quantiles and histograms.
+//!   normal, log-normal, gamma, beta, Pareto, Poisson and negative
+//!   binomial.
+//! * [`stats`] — Welford accumulators and the scalar loss kernels
+//!   (mean, standard deviation, quantiles and tail means).
 //! * [`sampling`] — alias-method sampling, shuffling and stratified index
 //!   partitioning.
 //! * [`parallel`] — explicitly sized thread pools.
@@ -57,7 +58,7 @@ pub mod timing;
 
 pub use distributions::Distribution;
 pub use rng::{RngFactory, SimRng};
-pub use stats::{quantile, RunningStats};
+pub use stats::RunningStats;
 pub use timing::{PhaseTimer, Stopwatch};
 
 /// Crate-wide error type for invalid parameters.

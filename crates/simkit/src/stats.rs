@@ -1,4 +1,5 @@
-//! Running statistics, quantiles and histograms.
+//! Running statistics and the scalar loss kernels: quantiles and tail
+//! means of sorted slices.
 //!
 //! These primitives back the Year Loss Table analytics in `catrisk-metrics`
 //! (PML, VaR, TVaR) and the distribution checks in the test suites.
@@ -208,13 +209,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Convenience wrapper that copies, sorts and calls [`quantile_sorted`].
-pub fn quantile(values: &[f64], q: f64) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    quantile_sorted(&v, q)
-}
-
 /// Mean of the observations at or above quantile `q` of a sorted slice —
 /// the empirical tail conditional expectation used by TVaR.
 pub fn tail_mean_sorted(sorted: &[f64], q: f64) -> f64 {
@@ -224,76 +218,6 @@ pub fn tail_mean_sorted(sorted: &[f64], q: f64) -> f64 {
     let start = start.min(sorted.len() - 1);
     let tail = &sorted[start..];
     tail.iter().sum::<f64>() / tail.len() as f64
-}
-
-/// Fixed-width histogram over `[lo, hi)` with an overflow and underflow bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins covering `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(
-            bins > 0 && hi > lo,
-            "histogram requires hi > lo and bins > 0"
-        );
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Bin counts (excluding under/overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations pushed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
 }
 
 #[cfg(test)]
@@ -361,8 +285,6 @@ mod tests {
         // Clamping out-of-range q.
         assert_eq!(quantile_sorted(&v, -1.0), 1.0);
         assert_eq!(quantile_sorted(&v, 2.0), 5.0);
-        // Unsorted convenience wrapper.
-        assert_eq!(quantile(&[5.0, 1.0, 3.0, 2.0, 4.0], 0.5), 3.0);
         // Single element.
         assert_eq!(quantile_sorted(&[9.0], 0.3), 9.0);
     }
@@ -382,25 +304,5 @@ mod tests {
         assert!((tail_mean_sorted(&v, 0.0) - 5.5).abs() < 1e-12);
         // q = 1 degenerates to the maximum.
         assert_eq!(tail_mean_sorted(&v, 1.0), 10.0);
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 5.5, 9.99, 10.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "hi > lo")]
-    fn histogram_invalid_range_panics() {
-        Histogram::new(5.0, 5.0, 3);
     }
 }
