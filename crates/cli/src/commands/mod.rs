@@ -1,7 +1,6 @@
 //! Subcommand dispatch and shared option parsing.
 
 mod demo;
-mod engines;
 mod info;
 mod query;
 mod quote;
@@ -20,9 +19,6 @@ commands:
              --events N     catalog size (default 50000)
              --seed S       master random seed (default 2012)
              --json         print the portfolio report as JSON
-  engines  compare every engine variant on one workload (mini Fig. 6a)
-             --trials N     number of YET trials (default 20000)
-             --seed S       master random seed (default 2012)
   quote    real-time pricing of a Cat XL layer (paper section IV)
              --retention X  occurrence retention (default 5e6)
              --limit X      occurrence limit (default 20e6)
@@ -138,7 +134,6 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
     let options = Options::parse(&args[1..])?;
     match command.as_str() {
         "demo" => demo::run(&options),
-        "engines" => engines::run(&options),
         "quote" => quote::run(&options),
         "query" => query::run(&options),
         "loadgen" => serve::run_loadgen(&options),
@@ -206,11 +201,6 @@ mod tests {
             "3",
         ]))
         .unwrap();
-    }
-
-    #[test]
-    fn engines_command_runs_small() {
-        dispatch(&strings(&["engines", "--trials", "150", "--seed", "3"])).unwrap();
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //!
 //! * `demo` — run the full synthetic pipeline (catalog → exposures → ELTs →
 //!   YET → aggregate analysis → risk report);
-//! * `engines` — run every engine variant on the same workload and print a
-//!   timing comparison (a miniature of the paper's Fig. 6a);
 //! * `quote` — interactive-speed quoting of a Cat XL layer with varying
 //!   terms (the paper's real-time pricing scenario);
 //! * `query` — ad-hoc aggregate risk queries (filters, group-bys, EP

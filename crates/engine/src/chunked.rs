@@ -6,15 +6,13 @@
 //! memory" (§III.B.2).  On a CPU the same blocking keeps the per-chunk
 //! working set inside the L1/L2 cache; the paper reports that this did *not*
 //! produce large gains on their multi-core platform (§III.C.1), which this
-//! engine lets us measure directly (ablation benchmarks).
-
-use rayon::prelude::*;
-
-use catrisk_simkit::parallel::build_pool;
+//! engine lets us measure directly (ablation benchmarks).  It is the same
+//! trial-block driver as `ParallelEngine` (`steps::run_layers`) with the
+//! chunked per-ELT kernel.
 
 use crate::input::AnalysisInput;
-use crate::steps;
-use crate::ylt::{AnalysisOutput, TrialOutcome, YearLossTable};
+use crate::steps::{run_layers, LayerKernel, BLOCKS_PER_THREAD};
+use crate::ylt::AnalysisOutput;
 
 /// Blocked multi-core aggregate analysis engine.
 #[derive(Debug, Clone, Copy)]
@@ -27,20 +25,14 @@ pub struct ChunkedEngine {
 
 impl Default for ChunkedEngine {
     fn default() -> Self {
-        Self {
-            chunk_size: 64,
-            threads: 0,
-        }
+        Self::new(64)
     }
 }
 
 impl ChunkedEngine {
     /// Engine with the given chunk size on all cores.
     pub fn new(chunk_size: usize) -> Self {
-        Self {
-            chunk_size,
-            ..Default::default()
-        }
+        Self::with_threads(chunk_size, 0)
     }
 
     /// Engine with explicit chunk size and thread count.
@@ -54,30 +46,8 @@ impl ChunkedEngine {
     /// Runs the analysis; results are identical to the other engines.
     pub fn run(&self, input: &AnalysisInput) -> AnalysisOutput {
         assert!(self.chunk_size > 0, "chunk_size must be positive");
-        let pool = build_pool(self.threads);
-        let yet = input.yet();
-        pool.install(|| {
-            let ylts = input
-                .layers()
-                .iter()
-                .map(|layer| {
-                    let elts = input.layer_elts(layer);
-                    let outcomes: Vec<TrialOutcome> = (0..yet.num_trials())
-                        .into_par_iter()
-                        .map_init(Vec::new, |scratch, t| {
-                            steps::trial_outcome_chunked(
-                                &elts,
-                                &layer.terms,
-                                yet.trial(t).occurrences,
-                                self.chunk_size,
-                                scratch,
-                            )
-                        })
-                        .collect();
-                    YearLossTable::new(layer.id, outcomes)
-                })
-                .collect();
-            AnalysisOutput::new(ylts)
+        run_layers(input, self.threads, BLOCKS_PER_THREAD, |input, layer| {
+            LayerKernel::Chunked(input.layer_elts(layer), self.chunk_size)
         })
     }
 }
@@ -90,8 +60,12 @@ mod tests {
     use catrisk_finterms::terms::{FinancialTerms, LayerTerms};
 
     fn input() -> AnalysisInput {
+        input_with(120)
+    }
+
+    fn input_with(trials: u32) -> AnalysisInput {
         let mut b = AnalysisInputBuilder::new();
-        let trials: Vec<Vec<(u32, f32)>> = (0..120)
+        let trials: Vec<Vec<(u32, f32)>> = (0..trials)
             .map(|t: u32| {
                 (0..(t % 23))
                     .map(|i| ((t.wrapping_mul(31).wrapping_add(i * 7)) % 900, i as f32))
@@ -136,10 +110,20 @@ mod tests {
 
     #[test]
     fn explicit_thread_count() {
-        let input = input();
-        let reference = SequentialEngine::new().run(&input);
-        let out = ChunkedEngine::with_threads(4, 2).run(&input);
-        assert_eq!(reference.max_abs_difference(&out), 0.0);
+        // 64 threads x 4 blocks exceed 120 trials (`stratify` clamps); the
+        // tiny YETs leave most blocks empty or have none at all.
+        for trials in [120, 0, 1, 3] {
+            let input = input_with(trials);
+            let reference = SequentialEngine::new().run(&input);
+            for threads in [2, 64] {
+                let out = ChunkedEngine::with_threads(4, threads).run(&input);
+                assert_eq!(
+                    reference.max_abs_difference(&out),
+                    0.0,
+                    "{trials} trials, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

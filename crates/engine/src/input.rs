@@ -136,11 +136,6 @@ impl AnalysisInput {
         &self.yet
     }
 
-    /// Shared handle to the Year Event Table.
-    pub fn yet_arc(&self) -> Arc<YearEventTable> {
-        Arc::clone(&self.yet)
-    }
-
     /// All preprocessed ELTs.
     pub fn elts(&self) -> &[PreparedElt] {
         &self.elts
@@ -252,16 +247,6 @@ impl AnalysisInput {
             layers,
             layer_tables: Arc::clone(&self.layer_tables),
         })
-    }
-
-    /// Average number of ELTs per layer.
-    pub fn avg_elts_per_layer(&self) -> f64 {
-        if self.layers.is_empty() {
-            0.0
-        } else {
-            self.layers.iter().map(|l| l.num_elts()).sum::<usize>() as f64
-                / self.layers.len() as f64
-        }
     }
 }
 
@@ -436,10 +421,8 @@ mod tests {
         assert_eq!(input.layers().len(), 1);
         assert_eq!(input.layer_elts(&input.layers()[0]).len(), 2);
         assert_eq!(input.total_lookups(), 3 * 2);
-        assert!((input.avg_elts_per_layer() - 2.0).abs() < 1e-12);
         assert!(input.lookup_memory_bytes() >= 100 * 8 * 2);
         assert_eq!(input.yet().num_trials(), 2);
-        assert_eq!(input.yet_arc().num_trials(), 2);
         assert_eq!(input.elts()[1].record_count, 2);
     }
 

@@ -9,21 +9,28 @@
 //! Tables covered by each layer, and the layer terms — and produces a Year
 //! Loss Table: one aggregate loss per (layer, trial) pair.
 //!
-//! The paper's basic algorithm (§II.B, lines 1–19) is implemented in four
-//! interchangeable engine variants, all of which produce **bit-identical**
-//! Year Loss Tables:
+//! The paper's basic algorithm (§II.B, lines 1–19) runs through one
+//! reference loop and one parallel trial-block driver, and every engine
+//! produces **bit-identical** Year Loss Tables:
 //!
-//! * [`SequentialEngine`] — the single-threaded reference implementation,
-//!   with an optional phase-instrumented mode used to reproduce Fig. 6b;
-//! * [`ParallelEngine`] — the multi-core analogue of the paper's OpenMP
-//!   implementation: one logical thread per trial on a rayon pool of a
-//!   configurable size (Fig. 3a), plus an oversubscribed mode that maps many
-//!   work items to each core (Fig. 3b).  It is the production engine: where
-//!   the input makes it pay it reads a layer's per-event loss from one
-//!   collapsed table instead of one lookup per ELT (see [`steps`]);
-//! * [`ChunkedEngine`] — a blocked variant that stages each trial's
-//!   per-occurrence losses through a fixed-size chunk buffer, the CPU
-//!   analogue of the paper's optimised GPU kernel;
+//! * [`SequentialEngine`] — the reference loop: single-threaded, with an
+//!   optional phase-instrumented mode used to reproduce Fig. 6b.  It shares
+//!   no scheduling code with the driver, so `parallel ≡ sequential` checks
+//!   compare two independent loops;
+//! * the driver (`steps::run_layers`) cuts each layer's trials into
+//!   contiguous blocks on a rayon pool of a configurable size and
+//!   concatenates them in trial order.  Two engines are that driver with
+//!   different kernels:
+//!   * [`ParallelEngine`] — the multi-core analogue of the paper's OpenMP
+//!     implementation (Fig. 3a: threads; Fig. 3b: blocks per thread).  It
+//!     is the production engine: where the input makes it pay it reads a
+//!     layer's per-event loss from one collapsed table instead of one
+//!     lookup per ELT (see [`steps`]);
+//!   * [`ChunkedEngine`] — stages each trial's per-occurrence losses
+//!     through a fixed-size chunk buffer, the CPU analogue of the paper's
+//!     optimised GPU kernel;
+//! * [`StreamingEngine`] is built on top: [`ParallelEngine`] per block of
+//!   trials, with running summaries;
 //! * the simulated-GPU kernels in `catrisk-gpusim` reuse this crate's
 //!   [`AnalysisInput`] and per-trial kernels.
 //!

@@ -20,16 +20,25 @@
 //! the same order, so every engine's Year Loss Table is bit-identical and
 //! the variants differ only in *how trials are scheduled* and *how memory
 //! is staged*.
+//!
+//! The scheduling is one loop, `run_layers`: the trial-block driver that
+//! `ParallelEngine` and `ChunkedEngine` both are, each with its own
+//! `LayerKernel`.  `SequentialEngine` keeps a serial loop of its own, so
+//! every `parallel ≡ sequential` check compares two independent loops.
 
+use std::ops::Range;
 use std::sync::Arc;
+
+use rayon::prelude::*;
 
 use catrisk_eventgen::yet::EventOccurrence;
 use catrisk_finterms::apply;
 use catrisk_finterms::layer::Layer;
 use catrisk_finterms::terms::LayerTerms;
+use catrisk_simkit::{parallel::build_pool, sampling::stratify};
 
 use crate::input::{AnalysisInput, PreparedElt};
-use crate::ylt::TrialOutcome;
+use crate::ylt::{AnalysisOutput, TrialOutcome, YearLossTable};
 
 /// Computes the per-occurrence losses of one trial for one layer, net of the
 /// ELT financial terms and accumulated across the layer's ELTs
@@ -86,19 +95,23 @@ pub(crate) fn gather_occurrence_losses(
     );
 }
 
-/// The production kernel of one layer, chosen once per layer pass by
-/// [`AnalysisInput::collapsed_layer_table`] — a function of the input alone.
-/// Both `ParallelEngine` loops go through it.
+/// The kernel [`run_layers`] runs for one layer pass.  `ParallelEngine`
+/// picks per-ELT or collapsed by [`LayerKernel::for_layer`];
+/// `ChunkedEngine` always stages per-ELT losses through chunks.
 #[derive(Debug)]
 pub(crate) enum LayerKernel<'a> {
     /// One lookup per (occurrence, ELT).
     PerElt(Vec<&'a PreparedElt>),
     /// One read of the layer's collapsed table per occurrence.
     Collapsed(Arc<[f64]>),
+    /// [`trial_outcome_chunked`] over the ELTs with the given chunk size.
+    Chunked(Vec<&'a PreparedElt>, usize),
 }
 
 impl<'a> LayerKernel<'a> {
-    /// Picks the kernel for `layer` of `input`.
+    /// The production kernel for `layer` of `input`, chosen by
+    /// [`AnalysisInput::collapsed_layer_table`] — a function of the input
+    /// alone.
     pub fn for_layer(input: &'a AnalysisInput, layer: &Layer) -> Self {
         match input.collapsed_layer_table(layer) {
             Some(table) => LayerKernel::Collapsed(table),
@@ -115,11 +128,51 @@ impl<'a> LayerKernel<'a> {
         scratch: &mut Vec<f64>,
     ) -> TrialOutcome {
         match self {
-            LayerKernel::PerElt(elts) => accumulate_occurrence_losses(elts, trial, scratch),
-            LayerKernel::Collapsed(table) => gather_occurrence_losses(table, trial, scratch),
+            LayerKernel::PerElt(elts) => trial_outcome(elts, terms, trial, scratch),
+            LayerKernel::Collapsed(table) => {
+                gather_occurrence_losses(table, trial, scratch);
+                apply_layer_terms(scratch, terms)
+            }
+            LayerKernel::Chunked(elts, chunk_size) => {
+                trial_outcome_chunked(elts, terms, trial, *chunk_size, scratch)
+            }
         }
-        apply_layer_terms(scratch, terms)
     }
+}
+
+/// Trial blocks per pool thread unless an engine says otherwise: the
+/// granularity the rayon shim gives a plain pool map (4 chunks per worker).
+pub(crate) const BLOCKS_PER_THREAD: usize = 4;
+
+/// The one parallel trial loop ("a single thread is employed per trial",
+/// paper §III.B).  For each layer it takes the kernel from `kernel_for`,
+/// cuts the trials into `pool threads × blocks_per_thread` contiguous
+/// blocks, maps the blocks on a pool of `threads` workers (0 = the default
+/// size, which honours `CATRISK_THREADS`) with one scratch vector per
+/// executor, and concatenates them in trial order — so the schedule never
+/// changes the Year Loss Table.
+pub(crate) fn run_layers<'a>(
+    input: &'a AnalysisInput,
+    threads: usize,
+    blocks_per_thread: usize,
+    kernel_for: impl Fn(&'a AnalysisInput, &Layer) -> LayerKernel<'a>,
+) -> AnalysisOutput {
+    let pool = build_pool(threads);
+    let yet = input.yet();
+    let parts = pool.current_num_threads() * blocks_per_thread.max(1);
+    let blocks = stratify(yet.num_trials(), parts);
+    let run_layer = |layer: &Layer| {
+        let kernel = kernel_for(input, layer);
+        let run_block = |scratch: &mut Vec<f64>, block: &Range<usize>| -> Vec<TrialOutcome> {
+            block
+                .clone()
+                .map(|t| kernel.trial_outcome(&layer.terms, yet.trial(t).occurrences, scratch))
+                .collect()
+        };
+        let outcomes: Vec<Vec<_>> = blocks.par_iter().map_init(Vec::new, run_block).collect();
+        YearLossTable::new(layer.id, outcomes.concat())
+    };
+    pool.install(|| AnalysisOutput::new(input.layers().iter().map(run_layer).collect()))
 }
 
 /// Applies the layer terms to already-accumulated per-occurrence losses

@@ -127,11 +127,6 @@ impl AnalysisOutput {
         total
     }
 
-    /// Sum of the layers' mean losses (= mean of the portfolio losses).
-    pub fn portfolio_mean_loss(&self) -> f64 {
-        self.ylts.iter().map(|y| y.mean_loss()).sum()
-    }
-
     /// Maximum absolute difference between two outputs' year losses
     /// (0 when identical); used by the cross-engine equivalence tests.
     pub fn max_abs_difference(&self, other: &AnalysisOutput) -> f64 {
@@ -209,7 +204,6 @@ mod tests {
         let out = AnalysisOutput::new(vec![a, b]);
         assert_eq!(out.num_layers(), 2);
         assert_eq!(out.portfolio_losses(), vec![5.0, 10.0, 40.0, 1.0]);
-        assert!((out.portfolio_mean_loss() - 14.0).abs() < 1e-12);
         assert_eq!(out.layer(1).layer_id, LayerId(1));
         assert_eq!(out.layers().len(), 2);
     }
@@ -218,7 +212,6 @@ mod tests {
     fn empty_output_portfolio() {
         let out = AnalysisOutput::new(vec![]);
         assert!(out.portfolio_losses().is_empty());
-        assert_eq!(out.portfolio_mean_loss(), 0.0);
     }
 
     #[test]

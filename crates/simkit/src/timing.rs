@@ -6,9 +6,7 @@
 //! exactly that breakdown, and is mergeable so per-thread timers can be
 //! combined after a parallel run.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Simple wall-clock stopwatch.
@@ -114,34 +112,6 @@ impl PhaseTimer {
     }
 }
 
-/// A thread-safe phase timer that can be shared across rayon workers.
-#[derive(Debug, Default, Clone)]
-pub struct SharedPhaseTimer {
-    inner: Arc<Mutex<PhaseTimer>>,
-}
-
-impl SharedPhaseTimer {
-    /// Creates an empty shared timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Merges a thread-local timer into the shared accumulator.
-    pub fn merge(&self, local: &PhaseTimer) {
-        self.inner.lock().merge(local);
-    }
-
-    /// Adds a duration to a named phase directly.
-    pub fn add(&self, phase: &'static str, d: Duration) {
-        self.inner.lock().add(phase, d);
-    }
-
-    /// Snapshot of the accumulated totals.
-    pub fn snapshot(&self) -> PhaseTimer {
-        self.inner.lock().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,24 +174,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get("x"), Duration::from_millis(15));
         assert_eq!(a.get("y"), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn shared_phase_timer_across_threads() {
-        let shared = SharedPhaseTimer::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let shared = shared.clone();
-                s.spawn(move || {
-                    let mut local = PhaseTimer::new();
-                    local.add("lookup", Duration::from_millis(10));
-                    shared.merge(&local);
-                    shared.add("extra", Duration::from_millis(1));
-                });
-            }
-        });
-        let snap = shared.snapshot();
-        assert_eq!(snap.get("lookup"), Duration::from_millis(40));
-        assert_eq!(snap.get("extra"), Duration::from_millis(4));
     }
 }
