@@ -1,10 +1,12 @@
 //! The sharded store catalog: many persistent YLT stores served as one
 //! refreshable logical store, along either sharding axis.
 //!
-//! A [`StoreCatalog`] owns one verifying
-//! [`StoreReader`] per shard file, each
-//! behind its own `RwLock` so any number of batch scans share a shard
-//! concurrently while a refresh swaps new commits in between scans.  At
+//! A [`StoreCatalog`] owns one verifying [`StoreReader`] per shard file
+//! and publishes the readers, with the stamps and trial windows that
+//! describe them, as one immutable snapshot behind an `Arc`.  A batch
+//! clones that `Arc` and scans with no lock held; a refresh or a
+//! directory adoption builds the next snapshot beside it and swaps it
+//! in, so neither waits for a scan and no scan sees half a change.  At
 //! open the catalog detects which **axis** the shards partition (see
 //! [`ShardAxis`]) from the stores' persisted trial offsets:
 //!
@@ -20,38 +22,38 @@
 //!   per-shard *partial aggregates* and rescan only the shard whose
 //!   generation moved.
 //!
-//! Per batch, [`SourceProvider::with_source`] takes all shard read locks
-//! (in shard order, one lock level — no deadlock), builds the zero-copy
-//! union (concatenating or checking a few hundred segment tags — cheap
-//! enough to redo every batch, so nothing is memoized),
-//! and hands the scheduler a [`SourceSnapshot`] whose generation vector
-//! is taken *under those same locks* — so the stamps and the data can
-//! never disagree.  A stamp is the shard's commit counter tagged with a
-//! replacement epoch: an *observed* replacement (one whose commit
-//! counter or segment count differs at probe time — stores are
-//! append-only by contract, so replacement handling is best-effort
-//! recovery, and a replacement that exactly reproduces both is
-//! indistinguishable from no change) retires every stamp the old store
-//! produced, even if the new store's counter later reaches the old
-//! value, so the result cache can never serve across an observed
-//! replacement; a replacement that changes the trial count excludes the
-//! shard from scans (on the segment axis the rest keep serving; on the
-//! trial axis the windows are no longer gap-free, so the catalog serves
-//! the empty shape) instead of failing batches.
+//! Per batch, [`SourceProvider::with_source`] builds the zero-copy union
+//! over the published snapshot (concatenating or checking a few hundred
+//! segment tags — cheap enough to redo every batch, so nothing is
+//! memoized) and hands the scheduler a [`SourceSnapshot`] whose
+//! generation vector belongs to that same published snapshot — so the
+//! stamps and the data can never disagree.  A stamp is the shard's
+//! commit counter tagged with a replacement epoch: an *observed*
+//! replacement (one whose commit counter or segment count differs at
+//! probe time — stores are append-only by contract, so replacement
+//! handling is best-effort recovery, and a replacement that exactly
+//! reproduces both is indistinguishable from no change) retires every
+//! stamp the old store produced, even if the new store's counter later
+//! reaches the old value, so the result cache can never serve across an
+//! observed replacement; a replacement that changes the trial count
+//! excludes the shard from scans (on the segment axis the rest keep
+//! serving; on the trial axis the windows are no longer gap-free, so the
+//! catalog serves the empty shape) instead of failing batches.
 //!
-//! [`StoreCatalog::refresh`] is the serve-while-ingesting path: for each
-//! shard it probes the file's committed generation and footer
-//! fingerprint from the 128-byte header region alone
-//! ([`StoreReader::peek_header`]) and only takes
-//! the shard's write lock when a new commit is actually visible, mapping
-//! just the newly committed segments (see the riskstore crate's refresh
-//! protocol).  A shard whose file is temporarily unreadable keeps serving
-//! its current snapshot; the failure is counted, not propagated.
+//! [`StoreCatalog::refresh`] is the serve-while-ingesting path, one
+//! refresh at a time: for each shard it probes the file's committed
+//! generation and footer fingerprint from the 128-byte header region
+//! alone ([`StoreReader::peek_header`]), and only when a new commit is
+//! visible clones the shard's reader, refreshes the clone — mapping just
+//! the newly committed segments (see the riskstore crate's refresh
+//! protocol) — and publishes a snapshot holding it.  A shard whose file
+//! is temporarily unreadable keeps serving its current reader; the
+//! failure is counted, not propagated.
 
 use std::collections::HashSet;
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use catrisk_riskquery::{Grid, ResultStore, SegmentSource, ShardedSource, TrialShardedSource};
@@ -59,7 +61,7 @@ use catrisk_riskstore::{StoreError, StoreReader};
 use catrisk_telemetry::{Histogram, Registry};
 
 use crate::source::{SourceProvider, SourceSnapshot};
-use crate::sync::{lock, read_lock, write_lock};
+use crate::sync::lock;
 use crate::telemetry::stage;
 
 /// Low 48 bits of a generation stamp hold the shard's commit counter;
@@ -129,48 +131,6 @@ fn path_identity(path: &Path) -> PathBuf {
     normalised
 }
 
-/// One shard: a store file, its live reader, and its visible generation.
-struct CatalogShard {
-    path: PathBuf,
-    reader: RwLock<StoreReader>,
-    /// Trials this shard held at open — its fixed contribution to the
-    /// union (the segment axis shares one value; the trial axis sums
-    /// them).  A refresh observing a different count excludes the shard.
-    num_trials: usize,
-    /// The shard's persisted trial offset at open.
-    trial_offset: u64,
-    /// The shard's current generation stamp (see [`SEQ_BITS`]), readable
-    /// without the lock (kept in sync by `refresh`); the cheap "is a
-    /// refresh worth a write lock?" comparand.
-    generation: AtomicU64,
-    /// Replacement epoch, only ever written under the shard's write
-    /// lock, so reading it under a read lock is snapshot-consistent.
-    epoch: AtomicU64,
-    /// Footer offset observed by the last header probe (`u64::MAX` =
-    /// never probed).  Together with the commit counter and footer
-    /// length this fingerprints the committed state: every commit
-    /// appends a fresh footer at the growing end of file, so any change
-    /// a refresh could observe moves at least one of the three.
-    seen_footer_offset: AtomicU64,
-    /// Footer length observed by the last header probe.
-    seen_footer_len: AtomicU64,
-}
-
-impl CatalogShard {
-    fn new(path: PathBuf, reader: StoreReader) -> CatalogShard {
-        CatalogShard {
-            num_trials: reader.num_trials(),
-            trial_offset: reader.trial_offset(),
-            generation: AtomicU64::new(stamp(0, reader.commit_seq())),
-            epoch: AtomicU64::new(0),
-            seen_footer_offset: AtomicU64::new(u64::MAX),
-            seen_footer_len: AtomicU64::new(u64::MAX),
-            reader: RwLock::new(reader),
-            path,
-        }
-    }
-}
-
 /// Every `.clm` file directly inside `dir`, sorted by path for a
 /// deterministic open/adopt order.
 fn list_store_files(dir: &Path) -> std::result::Result<Vec<PathBuf>, StoreError> {
@@ -188,15 +148,17 @@ fn list_store_files(dir: &Path) -> std::result::Result<Vec<PathBuf>, StoreError>
     Ok(paths)
 }
 
-/// The catalog's shard topology — everything that changes when a new
-/// store file is adopted by directory discovery, grouped under one
-/// `RwLock` so a scan always sees shards, axis and windows from the
-/// same instant.  For a catalog opened over a fixed file list the
-/// topology never changes after open.
-struct Topology {
+/// One published state of the catalog: the shard readers a batch scans
+/// and everything derived from them.  Immutable once published — a batch
+/// holds it by `Arc` for as long as it scans, and a refresh or an
+/// adoption publishes a new one instead of touching it.
+#[derive(Clone)]
+struct Snapshot {
     /// Shards in serving order: open order for the segment axis, window
     /// order (ascending trial offset) for the trial axis.
-    shards: Vec<CatalogShard>,
+    readers: Vec<Arc<StoreReader>>,
+    /// One stamp per shard (see [`SEQ_BITS`]), describing `readers`.
+    generations: Vec<u64>,
     /// Trials every scan sees: the shared per-shard count on the segment
     /// axis, the window total on the trial axis.
     num_trials: usize,
@@ -206,17 +168,17 @@ struct Topology {
     windows: Vec<(usize, usize)>,
 }
 
-impl Topology {
+impl Snapshot {
     /// Detects the sharding axis from the shards' persisted trial
     /// offsets and validates they fit together on it (the rules
     /// documented on [`StoreCatalog::open`]).
-    fn build(mut shards: Vec<CatalogShard>) -> std::result::Result<Topology, StoreError> {
-        if shards.is_empty() {
+    fn build(mut readers: Vec<StoreReader>) -> std::result::Result<Snapshot, StoreError> {
+        if readers.is_empty() {
             return Err(StoreError::InvalidArgument(
                 "a catalog needs at least one store".to_string(),
             ));
         }
-        let axis = if shards.iter().all(|shard| shard.trial_offset == 0) {
+        let axis = if readers.iter().all(|reader| reader.trial_offset() == 0) {
             ShardAxis::Segment
         } else {
             ShardAxis::Trial
@@ -224,14 +186,14 @@ impl Topology {
         let mut windows = Vec::new();
         let num_trials = match axis {
             ShardAxis::Segment => {
-                let trials = shards[0].num_trials;
-                for shard in &shards[1..] {
-                    if shard.num_trials != trials {
+                let trials = readers[0].num_trials();
+                for reader in &readers[1..] {
+                    if reader.num_trials() != trials {
                         return Err(StoreError::InvalidArgument(format!(
                             "shard `{}` holds {}-trial segments but the catalog's first shard \
                              holds {trials}-trial segments",
-                            shard.path.display(),
-                            shard.num_trials
+                            reader.path().display(),
+                            reader.num_trials()
                         )));
                     }
                 }
@@ -240,88 +202,100 @@ impl Topology {
             ShardAxis::Trial => {
                 // Window order is offset order, whatever order the shards
                 // were listed in.
-                shards.sort_by_key(|shard| shard.trial_offset);
+                readers.sort_by_key(StoreReader::trial_offset);
                 let mut at = 0usize;
-                for shard in &shards {
-                    if shard.trial_offset != at as u64 {
+                for reader in &readers {
+                    if reader.trial_offset() != at as u64 {
                         return Err(StoreError::InvalidArgument(format!(
                             "trial shard `{}` covers trials {}..{} but the preceding shards \
                              end at trial {at}; trial windows must tile [0, total) with no \
                              gap or overlap",
-                            shard.path.display(),
-                            shard.trial_offset,
-                            shard.trial_offset + shard.num_trials as u64,
+                            reader.path().display(),
+                            reader.trial_offset(),
+                            reader.trial_offset() + reader.num_trials() as u64,
                         )));
                     }
-                    windows.push((at, at + shard.num_trials));
-                    at += shard.num_trials;
+                    windows.push((at, at + reader.num_trials()));
+                    at += reader.num_trials();
                 }
                 at
             }
         };
-        Ok(Topology {
-            shards,
+        Ok(Snapshot {
+            generations: readers.iter().map(|r| stamp(0, r.commit_seq())).collect(),
+            readers: readers.into_iter().map(Arc::new).collect(),
             num_trials,
             axis,
             windows,
         })
     }
 
-    /// Adopts a discovered store into the serving topology, when its
-    /// geometry fits: another segment-axis shard sharing the catalog
-    /// trial count, or the store whose trial window starts exactly where
-    /// the current axis ends (which may convert a single-shard
-    /// segment-axis catalog into a trial-axis one — a one-window axis is
-    /// both).  Anything else is a topology the catalog cannot serve
-    /// exactly, and is rejected.
-    fn adopt(&mut self, path: PathBuf, reader: StoreReader) -> std::result::Result<(), StoreError> {
+    /// This snapshot grown by a discovered store, when its geometry
+    /// fits: another segment-axis shard sharing the catalog trial count,
+    /// or the store whose trial window starts exactly where the current
+    /// axis ends (which may convert a single-shard segment-axis catalog
+    /// into a trial-axis one — a one-window axis is both).  Anything else
+    /// is a topology the catalog cannot serve exactly, and is rejected.
+    fn adopt(&self, reader: StoreReader) -> std::result::Result<Snapshot, StoreError> {
+        let path = reader.path().display();
         let trials = reader.num_trials();
         let offset = reader.trial_offset();
         if offset == 0 {
             if self.axis != ShardAxis::Segment {
                 return Err(StoreError::InvalidArgument(format!(
-                    "store `{}` has trial offset 0, which overlaps the trial-axis \
-                     catalog's first window",
-                    path.display()
+                    "store `{path}` has trial offset 0, which overlaps the trial-axis \
+                     catalog's first window"
                 )));
             }
             if trials != self.num_trials {
                 return Err(StoreError::InvalidArgument(format!(
-                    "store `{}` holds {trials}-trial segments but the catalog serves \
+                    "store `{path}` holds {trials}-trial segments but the catalog serves \
                      {}-trial segments",
-                    path.display(),
                     self.num_trials
                 )));
             }
         } else {
             if offset != self.num_trials as u64 {
                 return Err(StoreError::InvalidArgument(format!(
-                    "store `{}` covers trials {offset}..{} but the catalog's axis ends \
+                    "store `{path}` covers trials {offset}..{} but the catalog's axis ends \
                      at trial {}; a discovered window must start exactly there",
-                    path.display(),
                     offset + trials as u64,
                     self.num_trials
                 )));
             }
-            if self.axis == ShardAxis::Segment && self.shards.len() > 1 {
+            if self.axis == ShardAxis::Segment && self.readers.len() > 1 {
                 return Err(StoreError::InvalidArgument(format!(
-                    "store `{}` opens a trial window, but the catalog already unions \
+                    "store `{path}` opens a trial window, but the catalog already unions \
                      {} segment-axis shards",
-                    path.display(),
-                    self.shards.len()
+                    self.readers.len()
                 )));
             }
-            if self.axis == ShardAxis::Segment {
-                // One offset-0 shard is equally window [0, n): reinterpret.
-                self.axis = ShardAxis::Trial;
-                self.windows = vec![(0, self.num_trials)];
-            }
-            self.windows
-                .push((self.num_trials, self.num_trials + trials));
-            self.num_trials += trials;
         }
-        self.shards.push(CatalogShard::new(path, reader));
-        Ok(())
+        let mut next = self.clone();
+        if offset != 0 {
+            if next.axis == ShardAxis::Segment {
+                // One offset-0 shard is equally window [0, n): reinterpret.
+                next.axis = ShardAxis::Trial;
+                next.windows = vec![(0, next.num_trials)];
+            }
+            next.windows
+                .push((next.num_trials, next.num_trials + trials));
+            next.num_trials += trials;
+        }
+        next.generations.push(stamp(0, reader.commit_seq()));
+        next.readers.push(Arc::new(reader));
+        Ok(next)
+    }
+
+    /// Whether `reader` still has the geometry shard `index` was admitted
+    /// with: offset zero and the catalog trial count on the segment axis,
+    /// exactly its window on the trial axis.
+    fn fits(&self, index: usize, reader: &StoreReader) -> bool {
+        let (start, end) = match self.axis {
+            ShardAxis::Segment => (0, self.num_trials),
+            ShardAxis::Trial => self.windows[index],
+        };
+        reader.trial_offset() == start as u64 && reader.num_trials() == end - start
     }
 }
 
@@ -338,31 +312,51 @@ struct DirWatch {
     rejected: HashSet<PathBuf>,
 }
 
-/// N persistent stores served as one logical, refreshable store.
-pub struct StoreCatalog {
-    /// The live shard topology; read by every batch, written only when
-    /// discovery adopts a new store.
-    topology: RwLock<Topology>,
+/// A shard's refresh-side state, in snapshot shard order.
+#[derive(Clone, Copy, Default)]
+struct Probe {
+    /// Replacement epoch (see [`SEQ_BITS`]).
+    epoch: u64,
+    /// Footer offset and length observed by the last header probe
+    /// (`None` = never probed).  Together with the commit counter this
+    /// fingerprints the committed state: every commit appends a fresh
+    /// footer at the growing end of file, so any change a refresh could
+    /// observe moves at least one of the three.
+    seen_footer: Option<(u64, u64)>,
+}
+
+/// Everything refresh and discovery own.  One refresh holds it at a
+/// time; a batch never does.
+#[derive(Default)]
+struct Refresher {
+    probes: Vec<Probe>,
     /// `Some` when the catalog watches a directory for new stores.
-    watch: Mutex<Option<DirWatch>>,
+    watch: Option<DirWatch>,
     /// Paths adopted by discovery since the server last drained them
     /// (the server turns the drain into counters + recorder events).
-    discovered_queue: Mutex<Vec<PathBuf>>,
+    discovered: Vec<PathBuf>,
+    /// Minimum time between on-disk generation probes (zero = probe on
+    /// every [`SourceProvider::refresh`] call).
+    interval: Duration,
+    /// When the last probe sweep ran (`None` = never).
+    last_probe: Option<Instant>,
+}
+
+/// N persistent stores served as one logical, refreshable store.
+pub struct StoreCatalog {
+    /// The published snapshot.  The lock is held only to clone or swap
+    /// the `Arc`, never across a batch.
+    current: Mutex<Arc<Snapshot>>,
+    /// Refresh, discovery and their throttle, one at a time; the only
+    /// writers of `current`.
+    refresher: Mutex<Refresher>,
     /// Total stores adopted by discovery over the catalog's lifetime.
     discovered: AtomicU64,
-    /// Epoch for the probe throttle clock.
-    opened: Instant,
-    /// Minimum µs between on-disk generation probes (0 = probe on every
-    /// [`SourceProvider::refresh`] call).
-    probe_interval_micros: AtomicU64,
-    /// `opened`-relative µs of the last probe sweep (`u64::MAX` =
-    /// never).
-    last_probe_micros: AtomicU64,
     refreshes: AtomicU64,
     refresh_errors: AtomicU64,
     /// Set by [`SourceProvider::attach_telemetry`] when the catalog backs
-    /// an instrumented server; `None` for a bare catalog.
-    telemetry: Mutex<Option<CatalogTelemetry>>,
+    /// an instrumented server; unset for a bare catalog.
+    telemetry: OnceLock<CatalogTelemetry>,
 }
 
 /// The catalog's resolved metric handles (see [`crate::telemetry::stage`]).
@@ -377,11 +371,11 @@ struct CatalogTelemetry {
 
 impl std::fmt::Debug for StoreCatalog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let topology = read_lock(&self.topology);
+        let snapshot = self.published();
         f.debug_struct("StoreCatalog")
-            .field("axis", &topology.axis)
-            .field("shards", &topology.shards.len())
-            .field("trials", &topology.num_trials)
+            .field("axis", &snapshot.axis)
+            .field("shards", &snapshot.readers.len())
+            .field("trials", &snapshot.num_trials)
             .finish()
     }
 }
@@ -399,35 +393,34 @@ impl StoreCatalog {
     pub fn open(
         paths: impl IntoIterator<Item = impl AsRef<Path>>,
     ) -> std::result::Result<StoreCatalog, StoreError> {
-        let mut shards = Vec::new();
+        let mut readers = Vec::new();
         let mut identities = std::collections::HashSet::new();
         for path in paths {
-            let path = path.as_ref().to_path_buf();
+            let path = path.as_ref();
             // A duplicated shard would silently double-count every one of
             // its segments (or serve one trial window twice); reject it
             // (resolving symlinks — and lexically normalising when
             // canonicalisation fails — so `serve x.clm ./x.clm` is caught
             // too).
-            if !identities.insert(path_identity(&path)) {
+            if !identities.insert(path_identity(path)) {
                 return Err(StoreError::InvalidArgument(format!(
                     "shard `{}` is listed more than once",
                     path.display()
                 )));
             }
-            let reader = StoreReader::open(&path)?;
-            shards.push(CatalogShard::new(path, reader));
+            readers.push(StoreReader::open(path)?);
         }
+        let snapshot = Snapshot::build(readers)?;
         Ok(StoreCatalog {
-            topology: RwLock::new(Topology::build(shards)?),
-            watch: Mutex::new(None),
-            discovered_queue: Mutex::new(Vec::new()),
+            refresher: Mutex::new(Refresher {
+                probes: vec![Probe::default(); snapshot.readers.len()],
+                ..Refresher::default()
+            }),
+            current: Mutex::new(Arc::new(snapshot)),
             discovered: AtomicU64::new(0),
-            opened: Instant::now(),
-            probe_interval_micros: AtomicU64::new(0),
-            last_probe_micros: AtomicU64::new(u64::MAX),
             refreshes: AtomicU64::new(0),
             refresh_errors: AtomicU64::new(0),
-            telemetry: Mutex::new(None),
+            telemetry: OnceLock::new(),
         })
     }
 
@@ -454,7 +447,7 @@ impl StoreCatalog {
         }
         let adopted = paths.iter().map(|p| path_identity(p)).collect();
         let catalog = Self::open(&paths)?;
-        *lock(&catalog.watch) = Some(DirWatch {
+        lock(&catalog.refresher).watch = Some(DirWatch {
             dir,
             adopted,
             rejected: HashSet::new(),
@@ -462,22 +455,23 @@ impl StoreCatalog {
         Ok(catalog)
     }
 
-    /// The directory this catalog watches for new stores, when opened
-    /// via [`StoreCatalog::open_dir`].
-    pub fn watched_dir(&self) -> Option<PathBuf> {
-        lock(&self.watch).as_ref().map(|watch| watch.dir.clone())
-    }
-
     /// Total store files adopted by directory discovery since open.
     pub fn discovered_count(&self) -> u64 {
         self.discovered.load(Ordering::Relaxed)
     }
 
-    /// One discovery sweep: re-list the watched directory and try to
-    /// adopt every store file not yet serving.  No-op without a watch.
-    fn discover(&self) {
-        let mut watch_slot = lock(&self.watch);
-        let Some(watch) = watch_slot.as_mut() else {
+    /// The published snapshot, held by the caller for as long as it
+    /// likes: the catalog lock is released on return.
+    fn published(&self) -> Arc<Snapshot> {
+        Arc::clone(&lock(&self.current))
+    }
+
+    /// One discovery sweep: re-list the watched directory and publish a
+    /// grown snapshot for every store file not yet serving that fits —
+    /// each adoption on its own, together with its probe state.  No-op
+    /// without a watch.
+    fn discover(&self, state: &mut Refresher) {
+        let Some(watch) = state.watch.as_mut() else {
             return;
         };
         let candidates = match list_store_files(&watch.dir) {
@@ -496,25 +490,25 @@ impl StoreCatalog {
             }
             // An unopenable file is usually a store still being written
             // (the header commits last): retry on the next sweep.
-            let Ok(reader) = StoreReader::open(&path) else {
+            let Ok(mut reader) = StoreReader::open(&path) else {
                 continue;
             };
-            let mut topology = write_lock(&self.topology);
-            match topology.adopt(path.clone(), reader) {
-                Ok(()) => {
-                    if let Some(telemetry) = lock(&self.telemetry).as_ref() {
-                        let shard = topology.shards.last().expect("just adopted");
-                        let mut reader = write_lock(&shard.reader);
-                        telemetry.store_open.record(reader.open_micros());
-                        reader.attach_refresh_histogram(Arc::clone(&telemetry.store_refresh));
+            let open_micros = reader.open_micros();
+            if let Some(telemetry) = self.telemetry.get() {
+                reader.attach_refresh_histogram(Arc::clone(&telemetry.store_refresh));
+            }
+            match self.published().adopt(reader) {
+                Ok(grown) => {
+                    if let Some(telemetry) = self.telemetry.get() {
+                        telemetry.store_open.record(open_micros);
                     }
-                    drop(topology);
+                    *lock(&self.current) = Arc::new(grown);
+                    state.probes.push(Probe::default());
                     watch.adopted.insert(identity);
                     self.discovered.fetch_add(1, Ordering::Relaxed);
-                    lock(&self.discovered_queue).push(path);
+                    state.discovered.push(path);
                 }
                 Err(_) => {
-                    drop(topology);
                     watch.rejected.insert(identity);
                     self.refresh_errors.fetch_add(1, Ordering::Relaxed);
                 }
@@ -524,27 +518,18 @@ impl StoreCatalog {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        read_lock(&self.topology).shards.len()
+        self.published().readers.len()
     }
 
     /// The axis this catalog's shards partition.
     pub fn axis(&self) -> ShardAxis {
-        read_lock(&self.topology).axis
+        self.published().axis
     }
 
     /// The global trial window of each shard, in shard order — empty for
     /// a segment-axis catalog (whose shards all share the full axis).
     pub fn shard_windows(&self) -> Vec<(usize, usize)> {
-        read_lock(&self.topology).windows.clone()
-    }
-
-    /// The shard files in shard order (window order on the trial axis).
-    pub fn shard_paths(&self) -> Vec<PathBuf> {
-        read_lock(&self.topology)
-            .shards
-            .iter()
-            .map(|s| s.path.clone())
-            .collect()
+        self.published().windows.clone()
     }
 
     /// The current generation vector: one stamp per shard (commit
@@ -552,30 +537,20 @@ impl StoreCatalog {
     /// visible data changes and never repeating across a file
     /// replacement.
     pub fn generations(&self) -> Vec<u64> {
-        read_lock(&self.topology)
-            .shards
-            .iter()
-            .map(|s| s.generation.load(Ordering::Acquire))
-            .collect()
+        self.published().generations.clone()
     }
 
     /// Per-shard committed segment counts.
     pub fn shard_segments(&self) -> Vec<usize> {
-        read_lock(&self.topology)
-            .shards
-            .iter()
-            .map(|s| read_lock(&s.reader).num_segments())
-            .collect()
+        let snapshot = self.published();
+        snapshot.readers.iter().map(|r| r.num_segments()).collect()
     }
 
     /// Resident bytes of every shard's loaded loss columns (zero-copy
     /// mapped columns count their mapped extent).
     pub fn memory_bytes(&self) -> usize {
-        read_lock(&self.topology)
-            .shards
-            .iter()
-            .map(|s| read_lock(&s.reader).memory_bytes())
-            .sum()
+        let snapshot = self.published();
+        snapshot.readers.iter().map(|r| r.memory_bytes()).sum()
     }
 
     /// Caps how often [`SourceProvider::refresh`] actually probes the
@@ -586,8 +561,7 @@ impl StoreCatalog {
     /// syscall cost, at the price of commits becoming visible up to the
     /// interval later.
     pub fn set_refresh_interval(&self, interval: Duration) {
-        self.probe_interval_micros
-            .store(interval.as_micros() as u64, Ordering::Relaxed);
+        lock(&self.refresher).interval = interval;
     }
 
     /// Refreshes that made new commits visible (across all shards).
@@ -602,23 +576,22 @@ impl StoreCatalog {
 
     /// One human-readable line per shard, for serving logs.
     pub fn describe(&self) -> String {
-        let topology = read_lock(&self.topology);
-        topology
-            .shards
+        let snapshot = self.published();
+        snapshot
+            .readers
             .iter()
             .enumerate()
-            .map(|(index, shard)| {
-                let reader = read_lock(&shard.reader);
-                let window = match topology.axis {
+            .map(|(index, reader)| {
+                let window = match snapshot.axis {
                     ShardAxis::Segment => String::new(),
                     ShardAxis::Trial => {
-                        let (start, end) = topology.windows[index];
+                        let (start, end) = snapshot.windows[index];
                         format!(" covering trials {start}..{end}")
                     }
                 };
                 format!(
                     "{}: {} segments x {} trials{window} ({:.1} MB resident), commit {}",
-                    shard.path.display(),
+                    reader.path().display(),
                     reader.num_segments(),
                     reader.num_trials(),
                     reader.memory_bytes() as f64 / 1.0e6,
@@ -648,39 +621,42 @@ impl StoreCatalog {
 
 impl SourceProvider for StoreCatalog {
     fn num_trials(&self) -> usize {
-        read_lock(&self.topology).num_trials
+        self.published().num_trials
     }
 
     fn num_segments(&self) -> usize {
-        match self.axis() {
-            ShardAxis::Segment => self.shard_segments().iter().sum(),
+        let snapshot = self.published();
+        let counts = snapshot.readers.iter().map(|r| r.num_segments());
+        match snapshot.axis {
+            ShardAxis::Segment => counts.sum(),
             // The served set is the common committed prefix.
-            ShardAxis::Trial => self.shard_segments().into_iter().min().unwrap_or(0),
+            ShardAxis::Trial => counts.min().unwrap_or(0),
         }
     }
 
     /// Probes every shard's committed generation (a 128-byte header
-    /// read, no locks) and maps new commits in under the shard's write
-    /// lock.  A watching catalog first sweeps its directory for new
-    /// store files to adopt (same throttle).  Returns the shards whose
-    /// visible state advanced.
+    /// read) and refreshes a clone of each shard whose file moved.  A
+    /// watching catalog first sweeps its directory for new store files
+    /// to adopt (same throttle).  Publishes one new snapshot when any
+    /// shard advanced — batches still holding the old one finish on it —
+    /// and returns the shards whose visible state advanced.
     fn refresh(&self) -> Vec<usize> {
-        let interval = self.probe_interval_micros.load(Ordering::Relaxed);
-        if interval > 0 {
-            let now = self.opened.elapsed().as_micros() as u64;
-            let last = self.last_probe_micros.load(Ordering::Relaxed);
-            if last != u64::MAX && now.saturating_sub(last) < interval {
-                return Vec::new();
-            }
-            // Racing workers may both probe; the store is best-effort.
-            self.last_probe_micros.store(now, Ordering::Relaxed);
+        let mut state = lock(&self.refresher);
+        if state
+            .last_probe
+            .is_some_and(|last| last.elapsed() < state.interval)
+        {
+            return Vec::new();
         }
-        self.discover();
-        let topology = read_lock(&self.topology);
+        state.last_probe = Some(Instant::now());
+        self.discover(&mut state);
+        let published = self.published();
+        let mut next = Arc::clone(&published);
         let mut advanced = Vec::new();
-        for (index, shard) in topology.shards.iter().enumerate() {
-            let seen_seq = shard.generation.load(Ordering::Acquire) & SEQ_MASK;
-            let header = match StoreReader::peek_header(&shard.path) {
+        for (index, probe) in state.probes.iter_mut().enumerate() {
+            let reader = &next.readers[index];
+            let seen_seq = next.generations[index] & SEQ_MASK;
+            let header = match StoreReader::peek_header(reader.path()) {
                 Ok(header) => header,
                 Err(_) => {
                     self.refresh_errors.fetch_add(1, Ordering::Relaxed);
@@ -690,39 +666,27 @@ impl SourceProvider for StoreCatalog {
             // Probe against the full committed-state fingerprint, not
             // just the commit counter: a replaced file whose counter
             // happens to match still moves the footer.
-            if header.commit_seq & SEQ_MASK == seen_seq
-                && header.footer_offset == shard.seen_footer_offset.load(Ordering::Relaxed)
-                && header.footer_len == shard.seen_footer_len.load(Ordering::Relaxed)
-            {
+            let footer = Some((header.footer_offset, header.footer_len));
+            if header.commit_seq & SEQ_MASK == seen_seq && footer == probe.seen_footer {
                 continue;
             }
-            let mut reader = write_lock(&shard.reader);
-            let outcome = reader.refresh();
             // Record the probed fingerprint whatever the outcome, so a
             // change the reader cannot observe (a same-shape
-            // replacement) does not re-take the write lock every batch.
-            shard
-                .seen_footer_offset
-                .store(header.footer_offset, Ordering::Relaxed);
-            shard
-                .seen_footer_len
-                .store(header.footer_len, Ordering::Relaxed);
-            match outcome {
+            // replacement) does not re-copy the reader every batch.
+            probe.seen_footer = footer;
+            let mut fresh = StoreReader::clone(reader);
+            match fresh.refresh() {
                 Ok(true) => {
-                    let new_seq = reader.commit_seq() & SEQ_MASK;
-                    let mut epoch = shard.epoch.load(Ordering::Acquire);
-                    let replaced = new_seq <= seen_seq;
+                    let new_seq = fresh.commit_seq() & SEQ_MASK;
                     // The shard's geometry (trial count, and on the trial
-                    // axis its window offset) is fixed at open; only a
-                    // file replacement can change it.
-                    let mismatched = reader.num_trials() != shard.num_trials
-                        || reader.trial_offset() != shard.trial_offset;
-                    if replaced || mismatched {
+                    // axis its window offset) is fixed at admission; only
+                    // a file replacement can change it.
+                    let mismatched = !next.fits(index, &fresh);
+                    if new_seq <= seen_seq || mismatched {
                         // The file was replaced (the reader took its
                         // full-reload fallback): retire every stamp the
                         // old store ever produced.
-                        epoch += 1;
-                        shard.epoch.store(epoch, Ordering::Release);
+                        probe.epoch += 1;
                     }
                     if mismatched {
                         // A replacement changed the shard's geometry: it
@@ -730,18 +694,21 @@ impl SourceProvider for StoreCatalog {
                         // (with_source excludes it) — surface that.
                         self.refresh_errors.fetch_add(1, Ordering::Relaxed);
                     }
-                    shard
-                        .generation
-                        .store(stamp(epoch, new_seq), Ordering::Release);
+                    let next = Arc::make_mut(&mut next);
+                    next.generations[index] = stamp(probe.epoch, new_seq);
+                    next.readers[index] = Arc::new(fresh);
                     self.refreshes.fetch_add(1, Ordering::Relaxed);
                     advanced.push(index);
                 }
                 Ok(false) => {}
                 Err(_) => {
-                    // The shard keeps serving its current snapshot.
+                    // The shard keeps serving its current reader.
                     self.refresh_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
+        }
+        if !Arc::ptr_eq(&next, &published) {
+            *lock(&self.current) = next;
         }
         advanced
     }
@@ -751,65 +718,52 @@ impl SourceProvider for StoreCatalog {
     /// every reader's future refreshes into `store_refresh_micros`, and
     /// arms the snapshot-assembly (`stage_schema_memo_micros`) timer.
     fn attach_telemetry(&self, registry: &Registry) {
-        let open_hist = registry.histogram(stage::STORE_OPEN);
-        let refresh_hist = registry.histogram(stage::STORE_REFRESH);
-        for shard in &read_lock(&self.topology).shards {
-            let mut reader = write_lock(&shard.reader);
-            open_hist.record(reader.open_micros());
-            reader.attach_refresh_histogram(Arc::clone(&refresh_hist));
-        }
-        *lock(&self.telemetry) = Some(CatalogTelemetry {
+        // Holding the refresher keeps a refresh from publishing between
+        // the read and the swap below.
+        let _refresher = lock(&self.refresher);
+        let telemetry = self.telemetry.get_or_init(|| CatalogTelemetry {
             assembly: registry.histogram(stage::SCHEMA_MEMO),
-            store_open: open_hist,
-            store_refresh: refresh_hist,
+            store_open: registry.histogram(stage::STORE_OPEN),
+            store_refresh: registry.histogram(stage::STORE_REFRESH),
         });
+        let mut next = Snapshot::clone(&self.published());
+        for reader in &mut next.readers {
+            telemetry.store_open.record(reader.open_micros());
+            Arc::make_mut(reader).attach_refresh_histogram(Arc::clone(&telemetry.store_refresh));
+        }
+        *lock(&self.current) = Arc::new(next);
     }
 
     fn drain_discovered(&self) -> Vec<PathBuf> {
-        std::mem::take(&mut *lock(&self.discovered_queue))
+        std::mem::take(&mut lock(&self.refresher).discovered)
     }
 
     fn with_source<R>(&self, f: impl FnOnce(SourceSnapshot<'_>) -> R) -> R {
-        // The topology read lock pins the shard set for the whole batch
-        // (discovery adopts under the write lock); then all shard read
-        // locks are taken in shard order and held for the whole batch —
-        // refresh takes write locks one shard at a time under the same
-        // topology read lock, so there is no ordering cycle.
-        let topology = read_lock(&self.topology);
-        let guards: Vec<RwLockReadGuard<'_, StoreReader>> = topology
-            .shards
-            .iter()
-            .map(|s| read_lock(&s.reader))
-            .collect();
-        // Stamps combine the locked reader's commit counter with the
-        // shard's replacement epoch — the epoch is only ever written
-        // under the shard's write lock, which cannot be held while we
-        // hold the read lock, so stamp and data describe exactly this
-        // snapshot.
-        let generations: Vec<u64> = topology
-            .shards
-            .iter()
-            .zip(&guards)
-            .map(|(shard, guard)| stamp(shard.epoch.load(Ordering::Acquire), guard.commit_seq()))
-            .collect();
-        let assembly: Option<Arc<Histogram>> = lock(&self.telemetry)
-            .as_ref()
-            .map(|telemetry| Arc::clone(&telemetry.assembly));
+        // The batch owns an `Arc` of the published snapshot, so no lock
+        // is held while it scans: a refresh publishing meanwhile swaps
+        // the catalog's `Arc`, never this one, and the stamps below
+        // describe exactly these readers.
+        let snapshot = self.published();
+        let generations = &snapshot.generations;
+        let assembly = self.telemetry.get().map(|telemetry| &telemetry.assembly);
 
-        if topology.axis == ShardAxis::Trial {
+        if snapshot.axis == ShardAxis::Trial {
             // Every window must still be covered by the store registered
             // for it; a geometry-changing replacement leaves a hole in
             // the trial axis, and a partial axis cannot answer exactly.
-            let intact = topology.shards.iter().zip(&guards).all(|(shard, guard)| {
-                guard.num_trials() == shard.num_trials && guard.trial_offset() == shard.trial_offset
-            });
-            let refs: Vec<&dyn SegmentSource> = guards
+            let intact = snapshot
+                .readers
                 .iter()
-                .map(|guard| &**guard as &dyn SegmentSource)
+                .enumerate()
+                .all(|(index, reader)| snapshot.fits(index, reader));
+            let refs: Vec<&dyn SegmentSource> = snapshot
+                .readers
+                .iter()
+                .map(|reader| &**reader as &dyn SegmentSource)
                 .collect();
             let assembly_started = Instant::now();
             let stitched = intact.then(|| TrialShardedSource::new(refs));
-            if let Some(histogram) = &assembly {
+            if let Some(histogram) = assembly {
                 histogram.record(assembly_started.elapsed().as_micros() as u64);
             }
             return match stitched {
@@ -817,44 +771,45 @@ impl SourceProvider for StoreCatalog {
                 // mid-ingest layout divergence) cannot stitch either.
                 Some(Ok(stitched)) => f(SourceSnapshot {
                     source: &stitched,
-                    generations: &generations,
+                    generations,
                     grid: Grid {
-                        trial_windows: &topology.windows,
+                        trial_windows: &snapshot.windows,
                         ..Grid::default()
                     },
                 }),
-                _ => self.with_empty(topology.num_trials, &generations, f),
+                _ => self.with_empty(snapshot.num_trials, generations, f),
             };
         }
 
         // A shard whose file was replaced with a different trial count
         // cannot join the scan; exclude it (keep serving the rest)
         // rather than panicking a worker and stranding the batch.
-        let usable: Vec<&dyn SegmentSource> = guards
+        let usable: Vec<&dyn SegmentSource> = snapshot
+            .readers
             .iter()
-            .filter(|guard| guard.num_trials() == topology.num_trials)
-            .map(|guard| &**guard as &dyn SegmentSource)
+            .filter(|reader| reader.num_trials() == snapshot.num_trials)
+            .map(|reader| &**reader as &dyn SegmentSource)
             .collect();
         match usable.as_slice() {
             [] => {
                 // Every shard diverged: serve the empty store shape so
                 // queries still answer (with no rows) instead of hanging.
-                self.with_empty(topology.num_trials, &generations, f)
+                self.with_empty(snapshot.num_trials, generations, f)
             }
             [only] => f(SourceSnapshot {
                 source: *only,
-                generations: &generations,
+                generations,
                 grid: Grid::default(),
             }),
             _ => {
                 // Cell `j` is stamped with `generations[j]`, so the
                 // shard-indexed ranges are only sound when no shard was
                 // excluded above; a degraded union serves uncut.
-                let all_usable = usable.len() == guards.len();
+                let all_usable = usable.len() == snapshot.readers.len();
                 let assembly_started = Instant::now();
                 let sharded = ShardedSource::new(usable)
                     .expect("usable shards all share the catalog trial count");
-                if let Some(histogram) = &assembly {
+                if let Some(histogram) = assembly {
                     histogram.record(assembly_started.elapsed().as_micros() as u64);
                 }
                 let ranges = if all_usable {
@@ -864,7 +819,7 @@ impl SourceProvider for StoreCatalog {
                 };
                 f(SourceSnapshot {
                     source: &sharded,
-                    generations: &generations,
+                    generations,
                     grid: Grid {
                         segment_ranges: &ranges,
                         ..Grid::default()
@@ -997,7 +952,6 @@ mod tests {
         assert_eq!(SourceProvider::num_trials(&catalog), 8);
         assert_eq!(SourceProvider::num_segments(&catalog), 5);
         assert_eq!(catalog.shard_segments(), vec![3, 2]);
-        assert_eq!(catalog.shard_paths().len(), 2);
         assert!(catalog.memory_bytes() >= 5 * 2 * 8 * 8);
         assert!(catalog.describe().lines().count() == 2);
 
@@ -1044,6 +998,49 @@ mod tests {
 
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
+    }
+
+    #[test]
+    fn a_refresh_publishes_while_a_batch_holds_its_snapshot() {
+        let a = temp_path("held-snapshot");
+        write_shard(&a, 8, 0..2);
+        let catalog = Arc::new(StoreCatalog::open([&a]).unwrap());
+        let query = QueryBuilder::new()
+            .group_by(Dimension::Layer)
+            .aggregate(Aggregate::Mean)
+            .build()
+            .unwrap();
+        let before = catalog.with_source(|s| execute(s.source, &query).unwrap());
+
+        let (refreshed, refresher, held, held_stamps) = catalog.with_source(|snapshot| {
+            let mut writer = StoreWriter::open_append(&a).unwrap();
+            writer
+                .append_segment(meta(9, Peril::Flood), &[5.0; 8], &[5.0; 8])
+                .unwrap();
+            writer.commit().unwrap();
+            drop(writer);
+            // A spawned, not scoped, thread: a refresh that waited for
+            // this batch must time out here, not deadlock the test.
+            let (sender, receiver) = std::sync::mpsc::channel();
+            let shared = Arc::clone(&catalog);
+            let refresher = std::thread::spawn(move || {
+                let _ = sender.send(SourceProvider::refresh(&*shared));
+            });
+            let refreshed = receiver.recv_timeout(Duration::from_secs(5));
+            let held = execute(snapshot.source, &query).unwrap();
+            (refreshed, refresher, held, snapshot.generations.to_vec())
+        });
+        refresher.join().expect("the refresh thread panicked");
+        assert_eq!(
+            refreshed,
+            Ok(vec![0]),
+            "a refresh must not wait for a batch holding its snapshot"
+        );
+        assert_eq!(held, before, "the held snapshot answers as before");
+        assert_ne!(held_stamps, catalog.generations());
+        let after = catalog.with_source(|s| execute(s.source, &query).unwrap());
+        assert_eq!(after.rows.len(), before.rows.len() + 1);
+        let _ = std::fs::remove_file(&a);
     }
 
     #[test]
@@ -1534,7 +1531,6 @@ mod tests {
 
         let catalog = StoreCatalog::open_dir(&dir).unwrap();
         assert_eq!(catalog.num_shards(), 1);
-        assert_eq!(catalog.watched_dir().as_deref(), Some(dir.as_path()));
         assert_eq!(catalog.discovered_count(), 0);
 
         let query = QueryBuilder::new()

@@ -92,8 +92,8 @@
 //! * a [`StoreCatalog`] serves **many persistent stores as one logical
 //!   store**, along either sharding axis (detected at open from the
 //!   stores' persisted trial offsets, see [`ShardAxis`]) — per batch it
-//!   snapshots every
-//!   shard under read locks and presents a **segment**-axis catalog's
+//!   takes the one published snapshot of every shard, with no lock held
+//!   across the batch, and presents a **segment**-axis catalog's
 //!   union through [`ShardedSource`](catrisk_riskquery::ShardedSource)
 //!   and a **trial**-axis catalog (the paper's partition dimension:
 //!   shards own disjoint trial windows of the same segments) through
@@ -102,8 +102,9 @@
 //!
 //! Before each batch the scheduler calls
 //! [`SourceProvider::refresh`]: a catalog probes each shard's committed
-//! generation from its 128-byte header and maps newly committed segments
-//! in place (`StoreReader::refresh`), so the server keeps answering while
+//! generation from its 128-byte header, maps newly committed segments
+//! into a clone of the shard's reader (`StoreReader::refresh`) and
+//! publishes the next snapshot, so the server keeps answering while
 //! ingest writers commit — *serve while ingesting*.  Batches then consult
 //! a generation-keyed result cache (keyed on the total `Eq + Hash`
 //! [`Query`](catrisk_riskquery::Query), stamped with every shard's

@@ -291,7 +291,7 @@ impl<P: SourceProvider> Server<P> {
     /// Submits one query for batched execution.
     ///
     /// Validates the query against the provider's (lifetime-fixed) trial
-    /// count up front — without touching the snapshot locks — so a
+    /// count up front — without building a snapshot — so a
     /// planning failure is returned here as [`ServeError::InvalidQuery`]
     /// and one client's malformed query can never fail a batch it shares
     /// with others.  Applies admission control: past

@@ -73,12 +73,6 @@ impl StreamIngestor {
         Ok(())
     }
 
-    /// Trials buffered so far for the first layer (every layer advances in
-    /// lock-step).
-    pub fn buffered_trials(&self) -> usize {
-        self.year.first().map_or(0, Vec::len)
-    }
-
     /// Spills every buffered layer into `writer` as one segment each
     /// (`metas[i]` tags layer `i`), committing after every
     /// `commit_every` segments (0 = a single commit at the end).
@@ -157,7 +151,6 @@ mod tests {
         ingestor
             .push_block(&block(&[&[1.0, 2.0], &[10.0, 20.0]]))
             .unwrap();
-        assert_eq!(ingestor.buffered_trials(), 2);
         ingestor
             .push_block(&block(&[&[3.0, 4.0, 5.0], &[30.0, 40.0, 50.0]]))
             .unwrap();

@@ -4,6 +4,7 @@
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use catrisk_riskquery::{QuerySession, SegmentMeta, SegmentSource};
 
@@ -48,120 +49,109 @@ impl RegionBacking {
     }
 }
 
-/// The loss columns of every committed segment: either `mmap(2)` extents
-/// shared with the file's page cache, or a single 8-aligned heap region
-/// loaded at open.
+/// One block of loss columns absorbed by an open or a refresh.
+#[derive(Debug)]
+enum Extent {
+    /// A private heap copy, packed segment-major (`[seg_k year | seg_k
+    /// occ | ...]`).  The allocation is `u64`s, so reinterpreting any
+    /// sub-range as `f64`s is free: same size, same alignment, and every
+    /// bit pattern is a valid `f64`.
+    Loaded(Vec<u64>),
+    /// A shared read-only map of the file, addressed by absolute file
+    /// offset.  The writer 8-aligns every segment's `data_offset` and lays
+    /// its two columns out contiguously, so each segment is one aligned
+    /// slice of the map.  The safety contract — why slicing a shared map
+    /// is sound, and how truncation underneath it is handled — is
+    /// documented on [`MapExtent`](crate::mmap::MapExtent).
+    Mapped(MapExtent),
+}
+
+impl Extent {
+    /// `values` losses starting at `offset`: a value index into a loaded
+    /// extent, an absolute file offset into a mapped one.
+    fn losses(&self, offset: u64, values: usize) -> &[f64] {
+        let bytes = match self {
+            Extent::Loaded(bits) => {
+                let start = offset as usize;
+                as_bytes(&bits[start..start + values])
+            }
+            Extent::Mapped(map) => map
+                .slice(offset, values * 8)
+                .expect("segment spans are bounds-checked at map time"),
+        };
+        // SAFETY: both arms are 8-aligned — heap `u64`s, or an 8-aligned
+        // file offset (validated at map time) into a page-aligned map —
+        // and span `values * 8` bytes.  Loaded bits were made native-endian
+        // at load, the mapped backing only exists on little-endian hosts,
+        // and every u64 bit pattern is a valid f64.
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f64>(), values) }
+    }
+
+    /// Bytes this extent pins: heap bytes, or mapped address space
+    /// (mapped pages are file-backed and evictable, so that is an upper
+    /// bound on residency).
+    fn len(&self) -> usize {
+        match self {
+            Extent::Loaded(bits) => bits.len() * 8,
+            Extent::Mapped(map) => map.len(),
+        }
+    }
+}
+
+/// Byte view of heap values, for checksum verification.
+fn as_bytes(bits: &[u64]) -> &[u8] {
+    // SAFETY: `u64` has no padding or invalid bit patterns, the slice is
+    // valid for `len * 8` bytes, and `u8` has alignment 1.
+    unsafe { std::slice::from_raw_parts(bits.as_ptr().cast::<u8>(), bits.len() * 8) }
+}
+
+/// Mutable byte view of heap values, for loading from the file.
+fn as_bytes_mut(bits: &mut [u64]) -> &mut [u8] {
+    // SAFETY: as in `as_bytes`, exclusively borrowed.
+    unsafe { std::slice::from_raw_parts_mut(bits.as_mut_ptr().cast::<u8>(), bits.len() * 8) }
+}
+
+/// The loss columns of every committed segment: a list of shared
+/// [`Extent`]s, one per open or refresh that absorbed segments, and one
+/// span per segment naming the extent and offset that hold it.
 ///
-/// Both backings hand the query scan the same thing — a contiguous
+/// Every backing hands the query scan the same thing — a contiguous
 /// `&[f64]` pair (year column then occurrence column) per segment,
-/// borrowed with no copy and no deserialisation:
-///
-/// * **Mapped**: the writer 8-aligns every segment's `data_offset` and
-///   lays the two columns out contiguously, so each segment is one
-///   aligned slice of a shared read-only map.  Opening maps the committed
-///   prefix once; refresh maps *only the newly committed tail* as an
-///   additional extent, leaving existing extents (and any page-cache
-///   pages other serving processes share) untouched.  The safety
-///   contract — why slicing a shared map is sound, and how truncation
-///   underneath it is handled — is documented on
-///   [`MapExtent`](crate::mmap::MapExtent).
-/// * **Loaded**: the heap allocation is `u64`s, so reinterpreting any
-///   sub-range as `f64`s is free: same size, same alignment, and every
-///   bit pattern is a valid `f64`.  Segments are packed segment-major
-///   (`[seg_k year | seg_k occ | ...]`).
-///
-/// A region is exclusively one backing or the other; [`StoreReader`]
-/// fixes the choice at open and stages every refresh with the same kind.
-#[derive(Debug, Default)]
+/// borrowed with no copy and no deserialisation.  A refresh appends *only
+/// the newly committed tail* as one more extent, leaving existing extents
+/// (and any page-cache pages other serving processes share) untouched.
+/// Extents sit behind `Arc`s, so cloning a region copies its span list,
+/// never its loss columns.  [`StoreReader`] fixes the backing at open and
+/// stages every refresh with the same kind.
+#[derive(Debug, Default, Clone)]
 struct ColumnRegion {
-    /// Heap backing: packed segment-major values.  Empty when mapped.
-    bits: Vec<u64>,
-    /// Mapped backing: one extent per open/refresh that absorbed
-    /// segments.  Empty when loaded.
-    extents: Vec<MapExtent>,
-    /// Mapped backing: per segment, the extent holding it and the
-    /// segment's absolute file offset (8-aligned, bounds-checked at map
-    /// time).  Empty when loaded.
+    extents: Vec<Arc<Extent>>,
+    /// Per segment: the extent holding it and its offset there (see
+    /// [`Extent::losses`]), bounds-checked at load time.
     spans: Vec<(u32, u64)>,
 }
 
 impl ColumnRegion {
-    fn loaded_with_len(values: usize) -> Self {
-        Self {
-            bits: vec![0u64; values],
-            ..Self::default()
-        }
-    }
-
-    /// Mutable byte view for loading from the file (heap backing only).
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: `u64` has no padding or invalid bit patterns, the
-        // allocation is valid for `len * 8` bytes, and `u8` has alignment 1.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.bits.as_mut_ptr().cast::<u8>(), self.bits.len() * 8)
-        }
-    }
-
-    /// Shared byte view for checksum verification (heap backing only).
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: as above, shared.
-        unsafe { std::slice::from_raw_parts(self.bits.as_ptr().cast::<u8>(), self.bits.len() * 8) }
-    }
-
-    /// The heap region as losses.
-    fn losses(&self) -> &[f64] {
-        // SAFETY: `f64` and `u64` share size and alignment and every `u64`
-        // bit pattern is a valid `f64` (the file stores IEEE-754 bits).
-        unsafe { std::slice::from_raw_parts(self.bits.as_ptr().cast::<f64>(), self.bits.len()) }
-    }
-
     /// One segment's contiguous column pair: `trials` year losses
     /// followed by `trials` occurrence losses.
     fn segment_pair(&self, segment: usize, trials: usize) -> &[f64] {
-        if let Some(&(extent, offset)) = self.spans.get(segment) {
-            let bytes = self.extents[extent as usize]
-                .slice(offset, 2 * trials * 8)
-                .expect("segment spans are bounds-checked at map time");
-            // SAFETY: the span's file offset is 8-aligned (validated at
-            // map time) and the extent base is page-aligned, so the
-            // pointer is 8-aligned; the file stores IEEE-754 little-endian
-            // bits and this branch only exists on little-endian hosts,
-            // where every u64 bit pattern is a valid f64.
-            unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f64>(), 2 * trials) }
-        } else {
-            let start = segment * 2 * trials;
-            &self.losses()[start..start + 2 * trials]
-        }
+        let (extent, offset) = self.spans[segment];
+        self.extents[extent as usize].losses(offset, 2 * trials)
     }
 
-    /// Converts the little-endian file bytes to native byte order in
-    /// place.  A no-op on little-endian targets (and never applicable to
-    /// the mapped backing, which only exists on little-endian hosts).
-    fn make_native_endian(&mut self) {
-        if cfg!(target_endian = "big") {
-            for bits in &mut self.bits {
-                *bits = u64::from_le(*bits);
-            }
-        }
-    }
-
-    /// Bytes this region pins: heap bytes plus mapped address space
-    /// (mapped pages are file-backed and evictable, so the latter is an
-    /// upper bound on residency).
+    /// Bytes this region pins, summed over its extents.
     fn region_bytes(&self) -> usize {
-        self.bits.len() * 8 + self.extents.iter().map(MapExtent::len).sum::<usize>()
+        self.extents.iter().map(|extent| extent.len()).sum()
     }
 
     /// Appends a staged tail region behind the existing segments (used by
-    /// refresh to absorb newly committed segments).  Both regions must
-    /// share a backing kind.
-    fn append(&mut self, mut tail: ColumnRegion) {
+    /// refresh to absorb newly committed segments).
+    fn append(&mut self, tail: ColumnRegion) {
         let base = self.extents.len() as u32;
-        self.bits.append(&mut tail.bits);
-        self.extents.append(&mut tail.extents);
+        self.extents.extend(tail.extents);
         self.spans.extend(
             tail.spans
-                .drain(..)
+                .into_iter()
                 .map(|(extent, offset)| (extent + base, offset)),
         );
     }
@@ -214,19 +204,23 @@ enum Absorb {
 /// shard)` and invalidate a shard's entries precisely when its refresh
 /// observes a new commit.  [`StoreReader::peek_commit_seq`] probes a
 /// file's committed generation from its 128-byte header region alone,
-/// without opening, so "is a refresh worth taking a write lock for?" is
-/// a two-sector read.
+/// without opening, so "is a refresh worth a reader copy?" is a
+/// two-sector read.
 ///
 /// A reader is immutable between refreshes, so it is `Send + Sync` and
 /// one instance can back any number of concurrent scans — a serving
 /// front-end shares a single reader across all of its batch workers
-/// without locking (refresh needs `&mut self`, so a refreshing server
-/// keeps each reader behind an `RwLock` and takes the write lock only
-/// when [`StoreReader::peek_commit_seq`] reports a new commit).
-/// [`StoreReader::open_shared`] is the convenience constructor for the
-/// lock-free immutable form; it is the same open path as
-/// [`StoreReader::open`] behind an `Arc`.
-#[derive(Debug, Default)]
+/// without locking.  [`StoreReader::open_shared`] is the convenience
+/// constructor for that form; it is the same open path as
+/// [`StoreReader::open`] behind an `Arc`.  Refresh needs `&mut self`, so
+/// a refreshing server never refreshes a reader a scan may hold: when
+/// [`StoreReader::peek_commit_seq`] reports a new commit it clones the
+/// reader, refreshes the clone and publishes it, while scans still
+/// holding the original keep reading the old commit.  A clone is cheap:
+/// the loss columns sit in shared, immutable extents, so it copies the
+/// segment directory only, and a refresh appends a new extent instead
+/// of touching the old ones.  A clone inherits the refresh histogram.
+#[derive(Debug, Default, Clone)]
 pub struct StoreReader {
     path: PathBuf,
     num_trials: usize,
@@ -320,7 +314,7 @@ impl StoreReader {
     /// Reads the committed generation (commit counter) of a store file
     /// from its header region alone — the cheap probe a catalog runs
     /// before deciding whether a [`refresh`](StoreReader::refresh) is
-    /// worth a write lock.
+    /// worth running.
     pub fn peek_commit_seq(path: impl AsRef<Path>) -> Result<u64> {
         Ok(Self::peek_header(path)?.commit_seq)
     }
@@ -588,27 +582,14 @@ fn load_segment_columns(
              {file_len} bytes"
         )));
     }
-    // Zero new bytes (or zero-width segments) need no region of either
-    // kind; the empty default serves both backings.
-    if new_segments == 0 || trials == 0 {
+    if new_segments == 0 {
         return Ok(ColumnRegion::default());
     }
 
     let page_bytes = state.header.page_trials as usize * 8;
-    match backing {
-        RegionBacking::Loaded => {
-            let mut columns = ColumnRegion::loaded_with_len(new_segments * 2 * trials);
-            for (index, entry) in footer.segments.iter().enumerate().skip(from) {
-                file.seek(SeekFrom::Start(entry.data_offset))?;
-                let start = (index - from) * 2 * trials * 8;
-                let end = start + 2 * trials * 8;
-                file.read_exact(&mut columns.bytes_mut()[start..end])?;
-                verify_segment_pages(&columns.bytes()[start..end], entry, page_bytes, index)?;
-            }
-            columns.make_native_endian();
-            Ok(columns)
-        }
-        RegionBacking::Mapped => {
+    let mut spans = Vec::with_capacity(new_segments);
+    let extent = match backing {
+        RegionBacking::Mapped if trials > 0 => {
             // Mapping hands the scan aligned `&[f64]` views straight into
             // the file, so the alignment the writer guarantees becomes a
             // hard admission requirement here: an unaligned directory
@@ -631,21 +612,39 @@ fn load_segment_columns(
             // interleaved footers included).  Bounds were validated above,
             // so `end <= file_len`.
             let extent = MapExtent::map(file, start, end).map_err(StoreError::Io)?;
-            let mut spans = Vec::with_capacity(new_segments);
             for (index, entry) in footer.segments.iter().enumerate().skip(from) {
                 let bytes = extent
                     .slice(entry.data_offset, 2 * trials * 8)
                     .expect("entry bounds validated against file length");
                 verify_segment_pages(bytes, entry, page_bytes, index)?;
-                spans.push((0u32, entry.data_offset));
+                spans.push((0, entry.data_offset));
             }
-            Ok(ColumnRegion {
-                bits: Vec::new(),
-                extents: vec![extent],
-                spans,
-            })
+            Extent::Mapped(extent)
         }
-    }
+        // The heap backing — and zero-width segments on either backing,
+        // which have nothing to map.
+        _ => {
+            let mut bits = vec![0u64; new_segments * 2 * trials];
+            for (index, entry) in footer.segments.iter().enumerate().skip(from) {
+                let start = (index - from) * 2 * trials;
+                let segment = &mut bits[start..start + 2 * trials];
+                file.seek(SeekFrom::Start(entry.data_offset))?;
+                file.read_exact(as_bytes_mut(segment))?;
+                verify_segment_pages(as_bytes(segment), entry, page_bytes, index)?;
+                spans.push((0, start as u64));
+            }
+            // The file stores little-endian bits.
+            if cfg!(target_endian = "big") {
+                bits.iter_mut()
+                    .for_each(|value| *value = u64::from_le(*value));
+            }
+            Extent::Loaded(bits)
+        }
+    };
+    Ok(ColumnRegion {
+        extents: vec![Arc::new(extent)],
+        spans,
+    })
 }
 
 /// CRC-verifies one segment's column pair (`trials` year losses then
@@ -845,14 +844,30 @@ mod tests {
             .unwrap();
         writer.commit().unwrap();
 
-        let mut reader = StoreReader::open(&path).unwrap();
-        assert_eq!(reader.num_segments(), 1);
-        let seq = reader.commit_seq();
+        let mut original = StoreReader::open(&path).unwrap();
+        assert_eq!(original.num_segments(), 1);
+        let seq = original.commit_seq();
         assert_eq!(StoreReader::peek_commit_seq(&path).unwrap(), seq);
 
         // Nothing new: refresh is a cheap no-op.
-        assert!(!reader.refresh().unwrap());
-        assert_eq!(reader.commit_seq(), seq);
+        assert!(!original.refresh().unwrap());
+        assert_eq!(original.commit_seq(), seq);
+
+        // The commits below are absorbed by a clone; the original must
+        // keep serving its own commit, bit for bit.
+        let column_bits = |reader: &StoreReader, segments: usize| -> Vec<Vec<u64>> {
+            (0..segments)
+                .flat_map(|s| {
+                    [
+                        SegmentSource::year_losses(reader, s),
+                        SegmentSource::max_occ_losses(reader, s),
+                    ]
+                })
+                .map(|column| column.iter().map(|l| l.to_bits()).collect())
+                .collect()
+        };
+        let original_bits = column_bits(&original, 1);
+        let mut reader = original.clone();
 
         // Two more commits land — one with a brand-new dictionary value.
         writer
@@ -890,6 +905,10 @@ mod tests {
             &[9.0, 0.0, 1.0, 2.0]
         );
         assert_eq!(reader.meta(2).peril, Peril::Earthquake);
+        assert_eq!(original.commit_seq(), seq);
+        assert_eq!(original.num_segments(), 1);
+        assert_eq!(column_bits(&original, 1), original_bits);
+        assert_eq!(column_bits(&reader, 1), original_bits);
 
         // The refreshed reader answers queries identically to a fresh one.
         let fresh = StoreReader::open(&path).unwrap();
