@@ -6,6 +6,7 @@
 //! the OEP (occurrence) curve.  PML at a return period `R` is the loss whose
 //! exceedance probability is `1/R`.
 
+use catrisk_simkit::stats::{quantile_sorted, OrderStats};
 use serde::{Deserialize, Serialize};
 
 /// An empirical exceedance-probability curve over simulated losses.
@@ -17,7 +18,7 @@ pub struct ExceedanceCurve {
 
 impl ExceedanceCurve {
     /// Builds a curve from per-trial losses (any order).
-    pub fn new(mut losses: Vec<f64>) -> Self {
+    pub fn new(losses: Vec<f64>) -> Self {
         assert!(
             !losses.is_empty(),
             "an exceedance curve needs at least one trial"
@@ -26,28 +27,8 @@ impl ExceedanceCurve {
             losses.iter().all(|l| l.is_finite() && *l >= -0.0),
             "losses must be finite and non-negative"
         );
-        losses.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        Self::from_sorted(losses)
-    }
-
-    /// Builds a curve from losses already sorted ascending, skipping the
-    /// sort (used by callers that maintain their own sorted copies, e.g.
-    /// the query engine's order-statistic cache).
-    ///
-    /// # Panics
-    /// If the losses are empty or not sorted ascending (checked in debug
-    /// builds only).
-    pub fn from_sorted(losses: Vec<f64>) -> Self {
-        assert!(
-            !losses.is_empty(),
-            "an exceedance curve needs at least one trial"
-        );
-        debug_assert!(
-            losses.windows(2).all(|w| w[0] <= w[1]),
-            "losses must be sorted ascending"
-        );
         Self {
-            sorted_losses: losses,
+            sorted_losses: OrderStats::from_vec(losses).into_sorted(),
         }
     }
 
@@ -75,21 +56,13 @@ impl ExceedanceCurve {
     /// The loss at exceedance probability `p` (0 < p <= 1), i.e. the
     /// `(1 − p)`-quantile of the loss distribution.
     pub fn loss_at_probability(&self, p: f64) -> f64 {
-        assert!(
-            p > 0.0 && p <= 1.0,
-            "exceedance probability must be in (0, 1], got {p}"
-        );
-        catrisk_simkit::stats::quantile_sorted(&self.sorted_losses, 1.0 - p)
+        loss_at_probability(p, |q| quantile_sorted(&self.sorted_losses, q))
     }
 
     /// The loss at a return period of `years` (the PML at that return
     /// period): the loss exceeded with probability `1/years`.
     pub fn loss_at_return_period(&self, years: f64) -> f64 {
-        assert!(
-            years >= 1.0,
-            "return period must be at least 1 year, got {years}"
-        );
-        self.loss_at_probability(1.0 / years)
+        loss_at_return_period(years, |q| quantile_sorted(&self.sorted_losses, q))
     }
 
     /// The empirical return period of a loss threshold (∞ when the threshold
@@ -107,16 +80,62 @@ impl ExceedanceCurve {
     /// returning `(probability, loss)` pairs from most to least likely —
     /// the series plotted as an EP curve.
     pub fn curve_points(&self, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "need at least two points");
-        (0..n)
-            .map(|i| {
-                // Probabilities from 1.0 down to 1/num_trials.
-                let lo = 1.0 / self.sorted_losses.len() as f64;
-                let p = 1.0 - (1.0 - lo) * (i as f64 / (n - 1) as f64);
-                (p, self.loss_at_probability(p))
-            })
-            .collect()
+        curve_points(self.num_trials(), n, |q| {
+            quantile_sorted(&self.sorted_losses, q)
+        })
     }
+}
+
+// The curve's formulas over any source of loss quantiles: `quantile(q)`
+// is the type-7 `q`-quantile of the trials' losses — `quantile_sorted` of
+// a curve's sorted losses, or `OrderStats::quantile` for callers (the
+// query engine) that never sort the whole vector.
+
+fn loss_at_probability(p: f64, quantile: impl FnOnce(f64) -> f64) -> f64 {
+    assert!(
+        p > 0.0 && p <= 1.0,
+        "exceedance probability must be in (0, 1], got {p}"
+    );
+    quantile(1.0 - p)
+}
+
+/// [`ExceedanceCurve::loss_at_return_period`] over a quantile source.
+pub fn loss_at_return_period(years: f64, quantile: impl FnOnce(f64) -> f64) -> f64 {
+    assert!(
+        years >= 1.0,
+        "return period must be at least 1 year, got {years}"
+    );
+    loss_at_probability(1.0 / years, quantile)
+}
+
+/// [`ExceedanceCurve::curve_points`] over a quantile source of `trials`
+/// losses.
+pub fn curve_points(
+    trials: usize,
+    n: usize,
+    mut quantile: impl FnMut(f64) -> f64,
+) -> Vec<(f64, f64)> {
+    assert!(n >= 2, "need at least two points");
+    let mut point = |i: usize| {
+        // Probabilities from 1.0 down to 1/num_trials.
+        let lo = 1.0 / trials as f64;
+        let p = 1.0 - (1.0 - lo) * (i as f64 / (n - 1) as f64);
+        (p, loss_at_probability(p, &mut quantile))
+    };
+    // Points are read middle-out, bisecting the grid, so a source that
+    // selects lazily narrows to the interval between points it already
+    // placed instead of rescanning everything above the last one.  The
+    // order of reads cannot change a value.
+    let mut points = vec![(0.0, 0.0); n];
+    let mut spans = vec![(0, n)];
+    while let Some((start, end)) = spans.pop() {
+        if start < end {
+            let mid = start + (end - start) / 2;
+            points[mid] = point(mid);
+            spans.extend([(start, mid), (mid + 1, end)]);
+        }
+    }
+    points
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Value at Risk and Tail Value at Risk.
 
-use catrisk_simkit::stats::{quantile_sorted, tail_mean_sorted};
+use catrisk_simkit::stats::OrderStats;
 
 /// Value at Risk at confidence `level` (e.g. 0.99): the `level`-quantile of
 /// the annual loss distribution.
@@ -10,9 +10,7 @@ pub fn var(losses: &[f64], level: f64) -> f64 {
         (0.0..1.0).contains(&level) || level == 1.0,
         "confidence level must be in [0, 1]"
     );
-    let mut sorted = losses.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite losses"));
-    quantile_sorted(&sorted, level)
+    OrderStats::new(losses).quantile(level)
 }
 
 /// Tail Value at Risk at confidence `level`: the mean of the losses at or
@@ -24,26 +22,17 @@ pub fn tvar(losses: &[f64], level: f64) -> f64 {
         (0.0..1.0).contains(&level) || level == 1.0,
         "confidence level must be in [0, 1]"
     );
-    let mut sorted = losses.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite losses"));
-    tail_mean_sorted(&sorted, level)
+    OrderStats::new(losses).tail_mean(level)
 }
 
-/// Computes VaR and TVaR at several confidence levels in one pass over a
-/// pre-sorted copy of the losses; returns `(level, var, tvar)` triples.
+/// Computes VaR and TVaR at several confidence levels over one shared
+/// [`OrderStats`] of the losses; returns `(level, var, tvar)` triples.
 pub fn var_tvar_profile(losses: &[f64], levels: &[f64]) -> Vec<(f64, f64, f64)> {
     assert!(!losses.is_empty(), "profile of an empty loss vector");
-    let mut sorted = losses.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite losses"));
+    let mut stats = OrderStats::new(losses);
     levels
         .iter()
-        .map(|&level| {
-            (
-                level,
-                quantile_sorted(&sorted, level),
-                tail_mean_sorted(&sorted, level),
-            )
-        })
+        .map(|&level| (level, stats.quantile(level), stats.tail_mean(level)))
         .collect()
 }
 

@@ -1,6 +1,11 @@
 //! Query execution: the rayon-parallel scan pipeline and aggregate
 //! finalisation.
 //!
+//! Finalisation answers the quantile-family aggregates (VaR, TVaR, PML,
+//! EP curves) through one lazily built [`OrderStats`] per group and
+//! basis: selection over order keys instead of a full sort, with the
+//! same bits (see `OrderStats`).
+//!
 //! ## Determinism
 //!
 //! The scan parallelises over **trial blocks** (the long axis), not over
@@ -13,10 +18,9 @@
 
 use rayon::prelude::*;
 
-use catrisk_metrics::ep::ExceedanceCurve;
+use catrisk_metrics::ep;
 use catrisk_simkit::stats::{
-    max_or_zero, mean_or_zero, population_std_dev, positive_fraction, quantile_sorted,
-    tail_mean_sorted,
+    max_or_zero, mean_or_zero, population_std_dev, positive_fraction, OrderStats,
 };
 
 use crate::kernel;
@@ -297,30 +301,21 @@ pub(crate) fn fused_scan_plans<S: SegmentSource + ?Sized>(
     merged
 }
 
-/// Sorted copies of a group's loss vectors, computed lazily — VaR, TVaR,
-/// PML and EP curves all need order statistics over the same data.
+/// A group's order statistics, built lazily and at most once per basis —
+/// VaR, TVaR, PML and EP curves of every query of a spec share them.
 #[derive(Debug, Default)]
-struct SortedCache {
-    year: Option<Vec<f64>>,
-    maxocc: Option<Vec<f64>>,
+struct GroupOrderStats {
+    year: Option<OrderStats>,
+    maxocc: Option<OrderStats>,
 }
 
-impl SortedCache {
-    fn sorted<'a>(
-        &'a mut self,
-        basis: Basis,
-        partial: &PartialAggregate,
-        group: usize,
-    ) -> &'a [f64] {
+impl GroupOrderStats {
+    fn of(&mut self, basis: Basis, partial: &PartialAggregate, group: usize) -> &mut OrderStats {
         let (slot, source) = match basis {
             Basis::Aep => (&mut self.year, &partial.year[group]),
             Basis::Oep => (&mut self.maxocc, &partial.maxocc[group]),
         };
-        slot.get_or_insert_with(|| {
-            let mut sorted = source.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite losses"));
-            sorted
-        })
+        slot.get_or_insert_with(|| OrderStats::new(source))
     }
 }
 
@@ -329,16 +324,17 @@ impl SortedCache {
 /// Every aggregate goes through the shared kernels a direct YLT
 /// computation uses — `catrisk-simkit`'s scalar kernels (`mean_or_zero`,
 /// `population_std_dev`, `max_or_zero`, `positive_fraction`, the same
-/// functions behind `YearLossTable::mean_loss` and friends) and
-/// `quantile_sorted` / `tail_mean_sorted` plus `catrisk-metrics`'
-/// `ExceedanceCurve` for the order statistics — so a query result is
-/// bit-identical to brute-force aggregation over the raw Year Loss Tables
-/// by construction.
+/// functions behind `YearLossTable::mean_loss` and friends), its
+/// `OrderStats` for VaR and TVaR (the kernel behind `catrisk-metrics`'
+/// `var` / `tvar`), and `catrisk-metrics`' EP-curve formulas over the same
+/// `OrderStats` for PML and EP curves — so a query result is bit-identical
+/// to brute-force aggregation over the raw Year Loss Tables by
+/// construction.
 fn finalize_group(
     aggregates: &[Aggregate],
     partial: &PartialAggregate,
     group: usize,
-    cache: &mut SortedCache,
+    stats: &mut GroupOrderStats,
 ) -> Vec<AggValue> {
     let year = &partial.year[group];
     if year.is_empty() {
@@ -360,26 +356,26 @@ fn finalize_group(
             Aggregate::StdDev => AggValue::Scalar(population_std_dev(year)),
             Aggregate::MaxLoss => AggValue::Scalar(max_or_zero(year)),
             Aggregate::AttachProb => AggValue::Scalar(positive_fraction(year)),
-            Aggregate::Var { level } => AggValue::Scalar(quantile_sorted(
-                cache.sorted(Basis::Aep, partial, group),
-                *level,
-            )),
-            Aggregate::Tvar { level } => AggValue::Scalar(tail_mean_sorted(
-                cache.sorted(Basis::Aep, partial, group),
-                *level,
-            )),
+            Aggregate::Var { level } => {
+                AggValue::Scalar(stats.of(Basis::Aep, partial, group).quantile(*level))
+            }
+            Aggregate::Tvar { level } => {
+                AggValue::Scalar(stats.of(Basis::Aep, partial, group).tail_mean(*level))
+            }
             Aggregate::Pml {
                 return_period,
                 basis,
             } => {
-                let sorted = cache.sorted(*basis, partial, group);
-                let curve = ExceedanceCurve::from_sorted(sorted.to_vec());
-                AggValue::Scalar(curve.loss_at_return_period(*return_period))
+                let stats = stats.of(*basis, partial, group);
+                AggValue::Scalar(ep::loss_at_return_period(*return_period, |q| {
+                    stats.quantile(q)
+                }))
             }
             Aggregate::EpCurve { basis, points } => {
-                let sorted = cache.sorted(*basis, partial, group);
-                let curve = ExceedanceCurve::from_sorted(sorted.to_vec());
-                AggValue::Curve(curve.curve_points(*points))
+                let stats = stats.of(*basis, partial, group);
+                AggValue::Curve(ep::curve_points(stats.len(), *points, |q| {
+                    stats.quantile(q)
+                }))
             }
         })
         .collect()
@@ -388,10 +384,12 @@ fn finalize_group(
 /// The one finalise tail: the results of every query sharing one scan
 /// spec, from that spec's combined loss vectors.
 ///
-/// Rows come out in canonical order (ascending by decoded key), and the
-/// lazily sorted loss copies behind VaR / TVaR / PML / EP curves live in
-/// one `SortedCache` per group shared by *all* of `queries` — "mean,
-/// VaR, TVaR and an EP curve of the same slice" sorts each group once.
+/// Rows come out in canonical order (ascending by decoded key).  The
+/// order statistics behind VaR / TVaR / PML / EP curves are one lazily
+/// built `OrderStats` per group and basis, shared by *all* of `queries`
+/// — "mean, VaR, TVaR and an EP curve of the same slice" copies each
+/// group's losses once, and each answer selects only the ranks it reads
+/// (a TVaR sorts only its tail), never sorting the whole vector.
 /// `keys[g]` / `segment_counts[g]` describe group `g` of `aggregate`;
 /// `trials` is the scanned window's length (before any loss range).
 pub fn finalize<'q>(
@@ -403,7 +401,7 @@ pub fn finalize<'q>(
 ) -> Vec<QueryResult> {
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_by(|&a, &b| DimValue::compare_keys(&keys[a], &keys[b]));
-    let mut caches: Vec<SortedCache> = keys.iter().map(|_| SortedCache::default()).collect();
+    let mut stats: Vec<GroupOrderStats> = keys.iter().map(|_| GroupOrderStats::default()).collect();
     queries
         .into_iter()
         .map(|query| QueryResult {
@@ -415,7 +413,7 @@ pub fn finalize<'q>(
                 .map(|&group| ResultRow {
                     key: keys[group].clone(),
                     segments: segment_counts[group],
-                    values: finalize_group(&query.aggregates, aggregate, group, &mut caches[group]),
+                    values: finalize_group(&query.aggregates, aggregate, group, &mut stats[group]),
                 })
                 .collect(),
         })
@@ -453,6 +451,7 @@ mod tests {
     use catrisk_engine::ylt::{TrialOutcome, YearLossTable};
     use catrisk_eventgen::peril::{Peril, Region};
     use catrisk_finterms::layer::LayerId;
+    use catrisk_metrics::ep::ExceedanceCurve;
 
     fn outcome(year: f64, occ: f64) -> TrialOutcome {
         TrialOutcome {
@@ -717,5 +716,190 @@ mod tests {
             }
             assert_eq!(at, end.max(start));
         }
+    }
+
+    /// Today's sort-based finalisation of one group — a stably sorted copy
+    /// per aggregate and the formulas read off it — kept as the oracle
+    /// `finalize` must reproduce bit for bit.
+    fn sorted_oracle(
+        aggregates: &[Aggregate],
+        partial: &PartialAggregate,
+        group: usize,
+    ) -> Vec<AggValue> {
+        use catrisk_simkit::stats::{quantile_sorted, tail_mean_sorted};
+        let year = &partial.year[group];
+        let sorted = |basis: &Basis| {
+            let mut sorted = match basis {
+                Basis::Aep => year.clone(),
+                Basis::Oep => partial.maxocc[group].clone(),
+            };
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite losses"));
+            sorted
+        };
+        aggregates
+            .iter()
+            .map(|aggregate| match aggregate {
+                Aggregate::EpCurve { .. } if year.is_empty() => AggValue::Curve(Vec::new()),
+                _ if year.is_empty() => AggValue::Scalar(0.0),
+                Aggregate::Mean => AggValue::Scalar(mean_or_zero(year)),
+                Aggregate::StdDev => AggValue::Scalar(population_std_dev(year)),
+                Aggregate::MaxLoss => AggValue::Scalar(max_or_zero(year)),
+                Aggregate::AttachProb => AggValue::Scalar(positive_fraction(year)),
+                Aggregate::Var { level } => {
+                    AggValue::Scalar(quantile_sorted(&sorted(&Basis::Aep), *level))
+                }
+                Aggregate::Tvar { level } => {
+                    AggValue::Scalar(tail_mean_sorted(&sorted(&Basis::Aep), *level))
+                }
+                Aggregate::Pml {
+                    return_period,
+                    basis,
+                } => AggValue::Scalar(quantile_sorted(&sorted(basis), 1.0 - 1.0 / return_period)),
+                Aggregate::EpCurve { basis, points } => {
+                    let sorted = sorted(basis);
+                    let lowest = 1.0 / sorted.len() as f64;
+                    AggValue::Curve(
+                        (0..*points)
+                            .map(|i| {
+                                let p = 1.0 - (1.0 - lowest) * (i as f64 / (points - 1) as f64);
+                                (p, quantile_sorted(&sorted, 1.0 - p))
+                            })
+                            .collect(),
+                    )
+                }
+            })
+            .collect()
+    }
+
+    fn value_bits(values: &[AggValue]) -> Vec<Vec<u64>> {
+        values
+            .iter()
+            .map(|value| match value {
+                AggValue::Scalar(x) => vec![x.to_bits()],
+                AggValue::Curve(points) => points
+                    .iter()
+                    .flat_map(|(p, loss)| [p.to_bits(), loss.to_bits()])
+                    .collect(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn finalize_matches_the_sort_based_oracle_on_random_stores() {
+        use catrisk_simkit::rng::RngFactory;
+
+        let factory = RngFactory::new(40);
+        let mut empty_groups = 0;
+        for case in 0..64u64 {
+            let mut rng = factory.stream(case);
+            let trials = 1 + rng.below(700) as usize;
+            let mut store = ResultStore::new(trials);
+            for s in 0..1 + rng.below(12) as usize {
+                // Coarse losses: long zero runs and many duplicates.
+                let outcomes = (0..trials)
+                    .map(|_| {
+                        let year = if rng.uniform() < 0.4 {
+                            (1 + rng.below(20)) as f64 * 1.0e4
+                        } else {
+                            0.0
+                        };
+                        outcome(year, year * (rng.below(4) as f64 / 4.0))
+                    })
+                    .collect();
+                let meta = SegmentMeta::new(
+                    LayerId(s as u32),
+                    Peril::ALL[rng.below(Peril::ALL.len() as u64) as usize],
+                    Region::ALL[rng.below(Region::ALL.len() as u64) as usize],
+                    LineOfBusiness::ALL[rng.below(LineOfBusiness::ALL.len() as u64) as usize],
+                );
+                store
+                    .ingest(&YearLossTable::new(LayerId(s as u32), outcomes), meta)
+                    .unwrap();
+            }
+            let level = |rng: &mut catrisk_simkit::rng::SimRng| {
+                [0.0, 0.5, 0.9, 0.95, 0.99, 0.995, 1.0][rng.below(7) as usize]
+            };
+            let mut aggregates = vec![
+                Aggregate::Mean,
+                Aggregate::StdDev,
+                Aggregate::MaxLoss,
+                Aggregate::AttachProb,
+                Aggregate::Var {
+                    level: level(&mut rng),
+                },
+                Aggregate::Tvar {
+                    level: level(&mut rng),
+                },
+            ];
+            for basis in [Basis::Aep, Basis::Oep] {
+                aggregates.push(Aggregate::Pml {
+                    return_period: [1.0, 50.0, 100.0, 250.0][rng.below(4) as usize],
+                    basis,
+                });
+                aggregates.push(Aggregate::EpCurve {
+                    basis,
+                    points: 2 + rng.below(20) as usize,
+                });
+            }
+            let start = rng.below(trials as u64) as usize;
+            let end = start + 1 + rng.below((trials - start) as u64) as usize;
+            // Every second case filters by loss; the threshold empties some
+            // groups and, at its top, all of them.
+            let loss = (case % 2 == 1).then(|| (1 + rng.below(30)) as f64 * 1.0e4);
+            let group_by = [
+                None,
+                Some(Dimension::Peril),
+                Some(Dimension::Region),
+                Some(Dimension::Lob),
+            ][rng.below(4) as usize];
+            let query = |aggregates: &[Aggregate]| {
+                let mut builder = QueryBuilder::new().trials(start..end);
+                if let Some(min) = loss {
+                    builder = builder.loss_at_least(min);
+                }
+                if let Some(dimension) = group_by {
+                    builder = builder.group_by(dimension);
+                }
+                for aggregate in aggregates {
+                    builder = builder.aggregate(aggregate.clone());
+                }
+                builder.build().unwrap()
+            };
+            // Three queries of one spec share each group's order statistics,
+            // asked in different orders.
+            let forward = query(&aggregates);
+            aggregates.reverse();
+            let backward = query(&aggregates);
+            let quantiles = query(&aggregates[..6]);
+            let queries = [forward, backward, quantiles];
+
+            let plan = QueryPlan::new(&store, &queries[0]).unwrap();
+            let partial = scan_window(&store, &plan, plan.trial_start, plan.trial_end);
+            let results = finalize(
+                &queries,
+                &plan.keys,
+                &plan.segment_counts(),
+                plan.num_trials(),
+                &partial,
+            );
+            let mut order: Vec<usize> = (0..plan.num_groups()).collect();
+            order.sort_by(|&a, &b| DimValue::compare_keys(&plan.keys[a], &plan.keys[b]));
+            empty_groups += order
+                .iter()
+                .filter(|&&g| partial.year[g].is_empty())
+                .count();
+            for (query, result) in queries.iter().zip(&results) {
+                assert_eq!(result.rows.len(), order.len(), "case {case}");
+                for (row, &group) in result.rows.iter().zip(&order) {
+                    assert_eq!(
+                        value_bits(&row.values),
+                        value_bits(&sorted_oracle(&query.aggregates, &partial, group)),
+                        "case {case}, group {:?}",
+                        row.key
+                    );
+                }
+            }
+        }
+        assert!(empty_groups > 0, "some loss range must empty a group");
     }
 }

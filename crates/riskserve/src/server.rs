@@ -880,6 +880,105 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_loss_in_a_store_fails_every_order_statistic_typed() {
+        use crate::catalog::StoreCatalog;
+        use catrisk_eventgen::peril::{Peril, Region};
+        use catrisk_finterms::layer::LayerId;
+        use catrisk_riskstore::StoreWriter;
+
+        // A store file with a finite Hurricane segment and a Flood segment
+        // holding one NaN year loss.  An order key would rank that NaN (its
+        // bits sort above +inf), so every quantile-family answer over it —
+        // even `var(0)`, whose rank the NaN never reaches — must refuse.
+        let mut path = std::env::temp_dir();
+        path.push(format!("catrisk-server-nan-{}.clm", std::process::id()));
+        let trials = 64;
+        let mut writer = StoreWriter::create(&path, trials).unwrap();
+        for (layer, peril) in [(0, Peril::Hurricane), (1, Peril::Flood)] {
+            let year: Vec<f64> = (0..trials)
+                .map(|t| {
+                    if peril == Peril::Flood && t == 17 {
+                        f64::NAN
+                    } else {
+                        (t % 7) as f64 * 1.0e3
+                    }
+                })
+                .collect();
+            let occ: Vec<f64> = (0..trials).map(|t| (t % 5) as f64).collect();
+            let meta = SegmentMeta::new(
+                LayerId(layer),
+                peril,
+                Region::Europe,
+                LineOfBusiness::Property,
+            );
+            writer.append_segment(meta, &year, &occ).unwrap();
+        }
+        writer.finish().unwrap();
+        let server = Server::new(
+            StoreCatalog::open([&path]).unwrap(),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let query = |peril, aggregate| {
+            QueryBuilder::new()
+                .with_perils([peril])
+                .aggregate(aggregate)
+                .build()
+                .unwrap()
+        };
+        let ask = |query| {
+            let ticket = server.submit(query).unwrap();
+            let (sender, receiver) = std::sync::mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                let _ = sender.send(ticket.wait());
+            });
+            let reply = receiver
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a reply within 5 s");
+            helper.join().unwrap();
+            reply
+        };
+
+        let order_statistics = [
+            Aggregate::Var { level: 0.0 },
+            Aggregate::Var { level: 0.99 },
+            Aggregate::Tvar { level: 1.0 },
+            Aggregate::Pml {
+                return_period: 100.0,
+                basis: Basis::Aep,
+            },
+            Aggregate::EpCurve {
+                basis: Basis::Aep,
+                points: 5,
+            },
+        ];
+        for aggregate in &order_statistics {
+            match ask(query(Peril::Flood, aggregate.clone())) {
+                Err(ServeError::Internal(message)) => {
+                    assert!(
+                        message.contains("finite losses"),
+                        "{aggregate:?}: {message}"
+                    )
+                }
+                other => panic!("{aggregate:?}: expected Internal, got {other:?}"),
+            }
+        }
+        let reader = catrisk_riskstore::StoreReader::open(&path).unwrap();
+        for aggregate in &order_statistics {
+            let hurricane = query(Peril::Hurricane, aggregate.clone());
+            let expected = catrisk_riskquery::execute(&reader, &hurricane).unwrap();
+            assert_eq!(ask(hurricane).unwrap().result, expected);
+        }
+        drop(reader);
+        let stats = server.stats();
+        assert_eq!((stats.completed, stats.failed), (5, 5), "{stats:?}");
+        drop(server);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn identical_queries_from_many_submitters_dedup() {
         let store = Arc::new(random_store(256, 8, 9));
         let server = Server::new(

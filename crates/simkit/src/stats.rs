@@ -1,8 +1,10 @@
 //! Running statistics and the scalar loss kernels: quantiles and tail
-//! means of sorted slices.
+//! means of sorted slices, and [`OrderStats`], the order-statistics
+//! kernel that answers them without sorting a whole loss vector.
 //!
 //! These primitives back the Year Loss Table analytics in `catrisk-metrics`
-//! (PML, VaR, TVaR) and the distribution checks in the test suites.
+//! (PML, VaR, TVaR), the query engine's quantile-family aggregates and the
+//! distribution checks in the test suites.
 
 use serde::{Deserialize, Serialize};
 
@@ -197,27 +199,207 @@ pub fn positive_fraction(values: &[f64]) -> f64 {
 ///
 /// `q` is clamped into `[0, 1]`.  Panics on an empty slice.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "quantile of empty slice");
+    quantile_by_rank(sorted.len(), q, |k| sorted[k])
+}
+
+/// The type-7 quantile of [`quantile_sorted`] over `len` observations
+/// whose `k`-th smallest is `rank(k)` — the one home of the interpolation,
+/// shared by sorted slices and [`OrderStats::quantile`].
+///
+/// `q` is clamped into `[0, 1]`.  Panics when `len` is 0.
+fn quantile_by_rank(len: usize, q: f64, mut rank: impl FnMut(usize) -> f64) -> f64 {
+    assert!(len > 0, "quantile of empty slice");
     let q = q.clamp(0.0, 1.0);
-    if sorted.len() == 1 {
-        return sorted[0];
+    if len == 1 {
+        return rank(0);
     }
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (len - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    let (at_lo, at_hi) = (rank(lo), rank(hi));
+    at_lo + (at_hi - at_lo) * frac
 }
 
 /// Mean of the observations at or above quantile `q` of a sorted slice —
 /// the empirical tail conditional expectation used by TVaR.
 pub fn tail_mean_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "tail_mean of empty slice");
-    let q = q.clamp(0.0, 1.0);
-    let start = ((sorted.len() as f64) * q).floor() as usize;
-    let start = start.min(sorted.len() - 1);
-    let tail = &sorted[start..];
+    let tail = &sorted[tail_start(sorted.len(), q)..];
     tail.iter().sum::<f64>() / tail.len() as f64
+}
+
+/// First rank of the TVaR tail at level `q` (clamped into `[0, 1]`) of
+/// `len > 0` observations: the tail always keeps at least the largest.
+fn tail_start(len: usize, q: f64) -> usize {
+    let q = q.clamp(0.0, 1.0);
+    let start = ((len as f64) * q).floor() as usize;
+    start.min(len - 1)
+}
+
+const SIGN: u64 = 1 << 63;
+/// Order keys of `-0.0` and `+0.0`: adjacent, so the zeros of a sorted
+/// key vector form one contiguous run.
+const NEG_ZERO_KEY: u64 = !SIGN;
+const POS_ZERO_KEY: u64 = SIGN;
+
+/// The order key of a non-NaN `f64`: `bits | 1<<63` when the sign bit is
+/// clear, `!bits` when it is set.  Unsigned key order is `f64::total_cmp`
+/// order, which on non-NaN values is `partial_cmp` order except that it
+/// puts `-0.0` strictly below `+0.0`.
+#[inline]
+fn order_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    bits ^ (((bits as i64) >> 63) as u64 | SIGN)
+}
+
+/// Inverse of [`order_key`].
+#[inline]
+fn key_value(key: u64) -> f64 {
+    f64::from_bits(key ^ (((!key as i64) >> 63) as u64 | SIGN))
+}
+
+/// Order statistics of a loss vector, answered by lazy selection instead
+/// of one full sort — the kernel behind VaR, TVaR, PML and EP curves.
+///
+/// The vector is held as `u64` order keys (`bits | 1<<63` for a value
+/// whose sign bit is clear, `!bits` otherwise).  [`rank`](Self::rank)
+/// places one rank with `select_nth_unstable` inside the smallest interval
+/// between ranks already placed, so a VaR costs a linear pass and a second
+/// quantile a pass over what is left around it.  [`tail_mean`](Self::tail_mean)
+/// places the tail start and sorts only the tail.  Any order of calls on
+/// one instance gives the same values.
+///
+/// **Bit-identical to a stable `sort_by(partial_cmp)`.**  On non-NaN values
+/// key order is `partial_cmp` order except for `±0.0`, and values that
+/// compare equal otherwise have equal bits, so the value at every rank is
+/// the stable sort's whatever order the selection leaves equal keys in.
+/// An input holding a `-0.0` is sorted in full on construction instead,
+/// with its run of zeros rewritten in input order (the stable sort's
+/// order).  The query engine never hits that path — its partials
+/// normalise `-0.0` to `+0.0` — but `catrisk-metrics` callers may.
+///
+/// The keys are why the selection is fast: a comparator over `f64` that
+/// must reject NaN (`partial_cmp(..).expect(..)`) panics on a branch in
+/// every comparison, which defeats the branchless partition that integer
+/// keys get.  NaN is rejected once, on construction, with the message the
+/// panicking comparator used ("finite losses").
+#[derive(Debug, Clone)]
+pub struct OrderStats {
+    keys: Vec<u64>,
+    /// Ranks already placed, ascending: `keys[p]` is final and every key
+    /// before `p` is `<=` it, every key after `>=` it.
+    placed: Vec<usize>,
+    /// `keys[sorted_from..]` is final (`len` while no suffix is).
+    sorted_from: usize,
+}
+
+impl OrderStats {
+    /// Order statistics of `values` (any order; copied).
+    ///
+    /// # Panics
+    /// If a value is NaN ("finite losses").
+    pub fn new(values: &[f64]) -> Self {
+        Self::from_values(values.iter().copied())
+    }
+
+    /// [`new`](Self::new) reusing `values`' allocation for the keys.
+    pub fn from_vec(values: Vec<f64>) -> Self {
+        Self::from_values(values.into_iter())
+    }
+
+    fn from_values(values: impl Iterator<Item = f64>) -> Self {
+        let (mut nan, mut neg_zero) = (false, false);
+        let mut keys: Vec<u64> = values
+            .map(|value| {
+                nan |= value.is_nan();
+                neg_zero |= value.to_bits() == (-0.0f64).to_bits();
+                order_key(value)
+            })
+            .collect();
+        assert!(!nan, "finite losses");
+        let mut sorted_from = keys.len();
+        if neg_zero {
+            let zeros: Vec<u64> = keys
+                .iter()
+                .copied()
+                .filter(|&key| key == NEG_ZERO_KEY || key == POS_ZERO_KEY)
+                .collect();
+            keys.sort_unstable();
+            let first = keys.partition_point(|&key| key < NEG_ZERO_KEY);
+            keys[first..first + zeros.len()].copy_from_slice(&zeros);
+            sorted_from = 0;
+        }
+        Self {
+            keys,
+            placed: Vec::new(),
+            sorted_from,
+        }
+    }
+
+    /// Number of observations.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether there are no observations.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The `k`-th smallest value (0-based).  Panics when `k >= len`.
+    pub fn rank(&mut self, k: usize) -> f64 {
+        assert!(
+            k < self.keys.len(),
+            "rank {k} of {} values",
+            self.keys.len()
+        );
+        if k < self.sorted_from {
+            if let Err(at) = self.placed.binary_search(&k) {
+                let lo = if at == 0 { 0 } else { self.placed[at - 1] + 1 };
+                let hi = self.placed.get(at).copied().unwrap_or(self.sorted_from);
+                self.keys[lo..hi].select_nth_unstable(k - lo);
+                self.placed.insert(at, k);
+            }
+        }
+        key_value(self.keys[k])
+    }
+
+    /// The type-7 quantile at `q` ([`quantile_sorted`] of the sorted
+    /// values).  Panics when empty.
+    pub fn quantile(&mut self, q: f64) -> f64 {
+        quantile_by_rank(self.len(), q, |k| self.rank(k))
+    }
+
+    /// The mean of the values at or above quantile `q`
+    /// ([`tail_mean_sorted`] of the sorted values).  Panics when empty.
+    pub fn tail_mean(&mut self, q: f64) -> f64 {
+        assert!(!self.is_empty(), "tail_mean of empty slice");
+        let start = tail_start(self.len(), q);
+        self.sort_from(start);
+        let tail = &self.keys[start..];
+        tail.iter().map(|&key| key_value(key)).sum::<f64>() / tail.len() as f64
+    }
+
+    /// The values sorted ascending, exactly as a stable
+    /// `sort_by(partial_cmp)` orders them.
+    pub fn into_sorted(mut self) -> Vec<f64> {
+        self.sort_from(0);
+        self.keys.into_iter().map(key_value).collect()
+    }
+
+    /// Makes `keys[start..]` final: places `start`, then sorts what lies
+    /// above it up to the already sorted suffix.
+    fn sort_from(&mut self, start: usize) {
+        if start >= self.sorted_from {
+            return;
+        }
+        self.rank(start);
+        self.keys[start + 1..self.sorted_from].sort_unstable();
+        self.sorted_from = start;
+        let below = self.placed.partition_point(|&p| p < start);
+        self.placed.truncate(below);
+    }
 }
 
 #[cfg(test)]
@@ -293,6 +475,75 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantile_empty_panics() {
         quantile_sorted(&[], 0.5);
+    }
+
+    #[test]
+    fn order_keys_round_trip_in_total_order() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for pair in values.windows(2) {
+            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
+        }
+        for value in values {
+            assert_eq!(key_value(order_key(value)).to_bits(), value.to_bits());
+        }
+        assert_eq!(order_key(-0.0), NEG_ZERO_KEY);
+        assert_eq!(order_key(0.0), POS_ZERO_KEY);
+    }
+
+    #[test]
+    fn order_stats_ranks_in_any_call_order() {
+        let values: Vec<f64> = (0..97).map(|i| ((i * 37) % 97) as f64).collect();
+        for ks in [[0usize, 96, 50, 49, 51], [50, 51, 49, 96, 0]] {
+            let mut stats = OrderStats::new(&values);
+            for k in ks {
+                assert_eq!(stats.rank(k), k as f64);
+            }
+            assert_eq!(
+                stats.tail_mean(0.9),
+                tail_mean_sorted(&sorted(&values), 0.9)
+            );
+            assert_eq!(stats.rank(3), 3.0);
+            assert_eq!(stats.into_sorted(), sorted(&values));
+        }
+        assert!(OrderStats::new(&[]).into_sorted().is_empty());
+    }
+
+    fn sorted(values: &[f64]) -> Vec<f64> {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted
+    }
+
+    #[test]
+    fn a_minus_zero_keeps_the_zeros_in_input_order() {
+        let values = [0.0, 2.0, -0.0, -1.0, 0.0, -0.0];
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(OrderStats::new(&values).into_sorted()),
+            bits(sorted(&values))
+        );
+        assert_eq!(OrderStats::new(&values).rank(1).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            OrderStats::new(&values).rank(2).to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite losses")]
+    fn order_stats_reject_nan() {
+        OrderStats::new(&[f64::NAN]);
     }
 
     #[test]
