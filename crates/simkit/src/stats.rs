@@ -284,7 +284,7 @@ fn key_value(key: u64) -> f64 {
 /// every comparison, which defeats the branchless partition that integer
 /// keys get.  NaN is rejected once, on construction, with the message the
 /// panicking comparator used ("finite losses").
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OrderStats {
     keys: Vec<u64>,
     /// Ranks already placed, ascending: `keys[p]` is final and every key
