@@ -1,7 +1,7 @@
-//! Scan-kernel gates: the explicit-lane SIMD block kernel against the
-//! per-element scalar reference, and chunked self-scheduling against the
-//! old static one-chunk-per-worker split on a skewed trial-sharded
-//! catalog.
+//! Scan-kernel gates: the SIMD block kernel (one kernel body the
+//! compiler vectorises at each lane width) against the per-element scalar
+//! reference, and chunked self-scheduling against the old static
+//! one-chunk-per-worker split on a skewed trial-sharded catalog.
 //!
 //! * `kernel_speedup` — the fused add/max accumulation at the active
 //!   lane width must run >= 1.5x the per-element scalar reference on a
@@ -9,11 +9,11 @@
 //!   the scalar path).  The reference executes one trial at a time with
 //!   auto-vectorization suppressed, so the gate pins that runtime
 //!   dispatch actually engages the vector units — a stable bar that
-//!   does not wobble with the compiler's own vectorizer.  The compiled
-//!   scalar fallback (which LLVM auto-vectorizes to baseline SSE2) is
-//!   timed and printed alongside for tracking, but not gated: on
-//!   store-port-bound hardware it sits within ~2x of the widest lanes,
-//!   too close for a robust threshold.
+//!   does not wobble with the compiler's own vectorizer.  The `Scalar`
+//!   level (the same body compiled for the baseline, which LLVM
+//!   vectorises to SSE2 on x86-64) is timed and printed alongside for
+//!   tracking, but not gated: on store-port-bound hardware it sits
+//!   within ~2x of the widest lanes, too close for a robust threshold.
 //! * `scheduling_speedup` — on a trial-sharded source whose windows
 //!   halve in size (so cut-aligned blocks are heavily skewed and the
 //!   old block-count split hands one worker most of the trials), the

@@ -25,11 +25,7 @@
 //! * the two ARE kernels of the paper: [`kernels::BasicAreKernel`]
 //!   (all intermediates in global memory) and
 //!   [`kernels::ChunkedAreKernel`] (intermediates staged through shared
-//!   memory in fixed-size chunks, terms in constant memory);
-//! * a [`scan_oracle`] extending the same bit-for-bit contract to the
-//!   host-side vectorized scan kernels in `catrisk-riskquery`: every
-//!   SIMD lane width, thread count and scheduling granularity must
-//!   reproduce the sequential scalar reference exactly.
+//!   memory in fixed-size chunks, terms in constant memory).
 //!
 //! The simulated timings are what the Fig. 4 / Fig. 5 / Fig. 6 benchmark
 //! harnesses sweep; they are not wall-clock measurements of the host.
@@ -43,7 +39,6 @@ pub mod kernel;
 pub mod kernels;
 pub mod memory;
 pub mod occupancy;
-pub mod scan_oracle;
 pub mod timing;
 
 pub use device::DeviceSpec;
@@ -52,7 +47,6 @@ pub use kernel::{Kernel, LaunchConfig, ThreadTracker};
 pub use kernels::{BasicAreKernel, ChunkedAreKernel};
 pub use memory::MemoryCounters;
 pub use occupancy::Occupancy;
-pub use scan_oracle::{verify_scan_kernels, ScanOracleReport};
 
 /// Errors produced when launching kernels on the simulated device.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,38 +2,40 @@
 //!
 //! Each query bottoms out in two loops over a trial block's loss slices —
 //! fused add/max accumulation ([`accumulate_fused`]) and loss-range
-//! compaction ([`retain_fused`]).  This module owns those loops as
-//! explicit-lane SIMD kernels over `core::arch`, with a portable scalar
-//! fallback and runtime dispatch, following the paper's follow-up
-//! observation that for this kernel *vectorization*, not core count, is
-//! the decisive hardware lever.
+//! compaction ([`retain_fused`]).  This module owns those loops.  The
+//! fused accumulation is one safe kernel body that the compiler
+//! vectorises at each lane width, behind runtime dispatch, following the
+//! paper's follow-up observation that for this kernel *vectorization*,
+//! not core count, is the decisive hardware lever.
 //!
 //! ## Lane abstraction
 //!
-//! [`SimdLevel`] names the lane width a kernel runs at: `Scalar` (one
-//! element at a time, the portable reference), `F64x2` (128-bit lanes,
-//! x86-64 SSE2 — always present at the x86-64 baseline), `F64x4`
-//! (256-bit AVX) and `F64x8` (512-bit AVX-512F), the wider two detected
-//! at runtime.  [`active_level`] caches the detection; `CATRISK_SIMD`
-//! (`scalar` / `f64x2` / `f64x4` / `f64x8`) caps it for experiments, and
-//! [`force_level`] overrides it programmatically for the gates and the
-//! bit-identity oracle.
+//! [`SimdLevel`] names the lane width a kernel runs at: `Scalar` (the
+//! portable reference), `F64x2` (128-bit lanes, x86-64 SSE2 — always
+//! present at the x86-64 baseline), `F64x4` (256-bit AVX) and `F64x8`
+//! (512-bit AVX-512F), the wider two detected at runtime.  `Scalar` and
+//! `F64x2` both run the body as compiled for the baseline; `F64x4` and
+//! `F64x8` run it inside a `#[target_feature]` wrapper, so the compiler
+//! emits the wider lanes.  [`active_level`] caches the detection;
+//! `CATRISK_SIMD` (`scalar` / `f64x2` / `f64x4` / `f64x8`) caps it for
+//! experiments, and [`force_level`] overrides it programmatically for the
+//! gates and the bit-identity tests.
 //!
 //! ## Why SIMD cannot change bits
 //!
-//! Every kernel performs the *same operation on the same index* in the
-//! same order regardless of lane width: lane `i` of a vector add computes
-//! exactly `acc[i] + v[i]`, the one scalar add the reference performs at
-//! index `i` — elements never interact across lanes, nothing is
-//! reassociated, and no fused-multiply-add contracts two roundings into
-//! one.  The max merge is written as the lane select `if v > acc { v }
-//! else { acc }` in the scalar path precisely because that is the
-//! documented per-lane semantics of the x86 `MAXPD` family (on a NaN or
-//! equal compare the second operand — the accumulator — is returned), so
-//! scalar and every SIMD width agree bit-for-bit on all inputs, including
-//! the `±0.0` tie `f64::max` leaves unspecified.  `crates/gpusim`'s
-//! `scan_oracle` module enforces this contract across all detected
-//! levels.
+//! Every level performs the *same operation on the same index*: lane `i`
+//! of a vector add computes exactly `acc[i] + v[i]`, the one scalar add
+//! the body performs at index `i` — elements never interact across
+//! lanes, nothing is reassociated, and no fused-multiply-add contracts
+//! two roundings into one (Rust never contracts without being asked).
+//! The max merge is written as the lane select `if v > acc { v } else {
+//! acc }` precisely because that is the documented per-lane semantics of
+//! the x86 `MAXPD` family (on a NaN or equal compare the second operand —
+//! the accumulator — is returned), so every width agrees bit-for-bit on
+//! all inputs, including the `±0.0` tie `f64::max` leaves unspecified.
+//! The unit tests check the body against `_mm_add_pd` / `_mm_max_pd` on
+//! those ties, and `tests/scan_determinism.rs` checks whole queries at
+//! every detected level.
 //!
 //! ## Scheduling granularity
 //!
@@ -57,8 +59,8 @@ use crate::query::LossRange;
 /// plain `min`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// One element at a time — the portable reference the wider lanes
-    /// must match bit-for-bit.
+    /// The body as compiled for the target's baseline — the portable
+    /// reference the wider lanes must match bit-for-bit.
     Scalar,
     /// 128-bit `f64x2` lanes (x86-64 SSE2, part of the baseline ISA).
     F64x2,
@@ -164,7 +166,7 @@ pub fn active_level() -> SimdLevel {
     }
 }
 
-/// Overrides [`active_level`] — the gate / oracle hook for pinning a
+/// Overrides [`active_level`] — the gate / test hook for pinning a
 /// lane width.  `None` clears the override and re-detects.  Concurrent
 /// scans observe the change on their next dispatch; results cannot
 /// differ, only speed (the bit-identity contract above).
@@ -183,7 +185,7 @@ pub fn accumulate_fused(acc_year: &mut [f64], acc_occ: &mut [f64], year: &[f64],
 }
 
 /// [`accumulate_fused`] at an explicit lane width — the entry point the
-/// oracle and benches use to compare levels on the same inputs.  A width
+/// gates and benches use to compare levels on the same inputs.  A width
 /// the hardware lacks falls back to the widest it has below it.
 pub fn accumulate_fused_at(
     level: SimdLevel,
@@ -202,34 +204,28 @@ pub fn accumulate_fused_at(
         occ.len()
     );
     match level {
-        SimdLevel::Scalar => accumulate_scalar(acc_year, acc_occ, year, occ),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::F64x2 => unsafe { x86::accumulate_f64x2(acc_year, acc_occ, year, occ) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::F64x4 => {
-            if std::arch::is_x86_feature_detected!("avx") {
-                unsafe { x86::accumulate_f64x4(acc_year, acc_occ, year, occ) }
-            } else {
-                unsafe { x86::accumulate_f64x2(acc_year, acc_occ, year, occ) }
-            }
+        SimdLevel::F64x8 if std::arch::is_x86_feature_detected!("avx512f") => {
+            // SAFETY: AVX-512F was detected on this CPU by the guard.
+            unsafe { accumulate_avx512f(acc_year, acc_occ, year, occ) }
         }
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::F64x8 => {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                unsafe { x86::accumulate_f64x8(acc_year, acc_occ, year, occ) }
-            } else {
-                accumulate_fused_at(SimdLevel::F64x4, acc_year, acc_occ, year, occ)
-            }
+        SimdLevel::F64x4 | SimdLevel::F64x8 if std::arch::is_x86_feature_detected!("avx") => {
+            // SAFETY: AVX was detected on this CPU by the guard.
+            unsafe { accumulate_avx(acc_year, acc_occ, year, occ) }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => accumulate_scalar(acc_year, acc_occ, year, occ),
+        // `Scalar`, `F64x2` and any wider level this CPU lacks run the
+        // body at the baseline, which on x86-64 includes SSE2's lanes.
+        _ => accumulate_body(acc_year, acc_occ, year, occ),
     }
 }
 
-/// The scalar reference: the exact per-index operations every SIMD width
-/// must reproduce.  The max is the lane select (`MAXPD` semantics), not
+/// The one kernel body: the exact per-index operations, which the
+/// compiler vectorises at whatever lane width the enclosing function is
+/// compiled for.  The max is the lane select (`MAXPD` semantics), not
 /// `f64::max`, so ±0.0 ties resolve identically everywhere.
-fn accumulate_scalar(acc_year: &mut [f64], acc_occ: &mut [f64], year: &[f64], occ: &[f64]) {
+#[inline(always)]
+fn accumulate_body(acc_year: &mut [f64], acc_occ: &mut [f64], year: &[f64], occ: &[f64]) {
     for ((ay, &y), (ao, &o)) in acc_year
         .iter_mut()
         .zip(year)
@@ -240,176 +236,18 @@ fn accumulate_scalar(acc_year: &mut [f64], acc_occ: &mut [f64], year: &[f64], oc
     }
 }
 
+/// [`accumulate_body`] compiled with 256-bit AVX lanes.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::accumulate_scalar;
-    use core::arch::x86_64::*;
+#[target_feature(enable = "avx")]
+fn accumulate_avx(acc_year: &mut [f64], acc_occ: &mut [f64], year: &[f64], occ: &[f64]) {
+    accumulate_body(acc_year, acc_occ, year, occ)
+}
 
-    /// # Safety
-    /// SSE2 is part of the x86-64 baseline; slices must have equal
-    /// length (checked by the dispatcher).
-    pub(super) unsafe fn accumulate_f64x2(
-        acc_year: &mut [f64],
-        acc_occ: &mut [f64],
-        year: &[f64],
-        occ: &[f64],
-    ) {
-        let n = year.len();
-        let head = n - n % 2;
-        let (ay, ao) = (acc_year.as_mut_ptr(), acc_occ.as_mut_ptr());
-        let (y, o) = (year.as_ptr(), occ.as_ptr());
-        let mut i = 0;
-        // Two vectors per iteration: the per-index ops are independent,
-        // so unrolling only overlaps loads — it cannot reorder results.
-        while i + 4 <= head {
-            // SAFETY: i + 4 <= head <= n for every slice.
-            unsafe {
-                let vy0 = _mm_loadu_pd(y.add(i));
-                let va0 = _mm_loadu_pd(ay.add(i));
-                let vy1 = _mm_loadu_pd(y.add(i + 2));
-                let va1 = _mm_loadu_pd(ay.add(i + 2));
-                _mm_storeu_pd(ay.add(i), _mm_add_pd(va0, vy0));
-                _mm_storeu_pd(ay.add(i + 2), _mm_add_pd(va1, vy1));
-                let vo0 = _mm_loadu_pd(o.add(i));
-                let vb0 = _mm_loadu_pd(ao.add(i));
-                let vo1 = _mm_loadu_pd(o.add(i + 2));
-                let vb1 = _mm_loadu_pd(ao.add(i + 2));
-                // MAXPD(vo, vb): per lane `vo > vb ? vo : vb` — the
-                // select the scalar reference performs.
-                _mm_storeu_pd(ao.add(i), _mm_max_pd(vo0, vb0));
-                _mm_storeu_pd(ao.add(i + 2), _mm_max_pd(vo1, vb1));
-            }
-            i += 4;
-        }
-        while i < head {
-            // SAFETY: i + 2 <= head <= n for every slice.
-            unsafe {
-                let vy = _mm_loadu_pd(y.add(i));
-                let va = _mm_loadu_pd(ay.add(i));
-                _mm_storeu_pd(ay.add(i), _mm_add_pd(va, vy));
-                let vo = _mm_loadu_pd(o.add(i));
-                let vb = _mm_loadu_pd(ao.add(i));
-                _mm_storeu_pd(ao.add(i), _mm_max_pd(vo, vb));
-            }
-            i += 2;
-        }
-        accumulate_scalar(
-            &mut acc_year[head..],
-            &mut acc_occ[head..],
-            &year[head..],
-            &occ[head..],
-        );
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX via `is_x86_feature_detected!`;
-    /// slices must have equal length.
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn accumulate_f64x4(
-        acc_year: &mut [f64],
-        acc_occ: &mut [f64],
-        year: &[f64],
-        occ: &[f64],
-    ) {
-        let n = year.len();
-        let head = n - n % 4;
-        let (ay, ao) = (acc_year.as_mut_ptr(), acc_occ.as_mut_ptr());
-        let (y, o) = (year.as_ptr(), occ.as_ptr());
-        let mut i = 0;
-        // Two vectors per iteration (independent per-index ops — the
-        // unroll overlaps loads without reordering any result).
-        while i + 8 <= head {
-            // SAFETY: i + 8 <= head <= n for every slice.
-            unsafe {
-                let vy0 = _mm256_loadu_pd(y.add(i));
-                let va0 = _mm256_loadu_pd(ay.add(i));
-                let vy1 = _mm256_loadu_pd(y.add(i + 4));
-                let va1 = _mm256_loadu_pd(ay.add(i + 4));
-                _mm256_storeu_pd(ay.add(i), _mm256_add_pd(va0, vy0));
-                _mm256_storeu_pd(ay.add(i + 4), _mm256_add_pd(va1, vy1));
-                let vo0 = _mm256_loadu_pd(o.add(i));
-                let vb0 = _mm256_loadu_pd(ao.add(i));
-                let vo1 = _mm256_loadu_pd(o.add(i + 4));
-                let vb1 = _mm256_loadu_pd(ao.add(i + 4));
-                _mm256_storeu_pd(ao.add(i), _mm256_max_pd(vo0, vb0));
-                _mm256_storeu_pd(ao.add(i + 4), _mm256_max_pd(vo1, vb1));
-            }
-            i += 8;
-        }
-        while i < head {
-            // SAFETY: i + 4 <= head <= n for every slice.
-            unsafe {
-                let vy = _mm256_loadu_pd(y.add(i));
-                let va = _mm256_loadu_pd(ay.add(i));
-                _mm256_storeu_pd(ay.add(i), _mm256_add_pd(va, vy));
-                let vo = _mm256_loadu_pd(o.add(i));
-                let vb = _mm256_loadu_pd(ao.add(i));
-                _mm256_storeu_pd(ao.add(i), _mm256_max_pd(vo, vb));
-            }
-            i += 4;
-        }
-        accumulate_scalar(
-            &mut acc_year[head..],
-            &mut acc_occ[head..],
-            &year[head..],
-            &occ[head..],
-        );
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX-512F via `is_x86_feature_detected!`;
-    /// slices must have equal length.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn accumulate_f64x8(
-        acc_year: &mut [f64],
-        acc_occ: &mut [f64],
-        year: &[f64],
-        occ: &[f64],
-    ) {
-        let n = year.len();
-        let head = n - n % 8;
-        let (ay, ao) = (acc_year.as_mut_ptr(), acc_occ.as_mut_ptr());
-        let (y, o) = (year.as_ptr(), occ.as_ptr());
-        let mut i = 0;
-        // Two vectors per iteration (independent per-index ops — the
-        // unroll overlaps loads without reordering any result).
-        while i + 16 <= head {
-            // SAFETY: i + 16 <= head <= n for every slice.
-            unsafe {
-                let vy0 = _mm512_loadu_pd(y.add(i));
-                let va0 = _mm512_loadu_pd(ay.add(i));
-                let vy1 = _mm512_loadu_pd(y.add(i + 8));
-                let va1 = _mm512_loadu_pd(ay.add(i + 8));
-                _mm512_storeu_pd(ay.add(i), _mm512_add_pd(va0, vy0));
-                _mm512_storeu_pd(ay.add(i + 8), _mm512_add_pd(va1, vy1));
-                let vo0 = _mm512_loadu_pd(o.add(i));
-                let vb0 = _mm512_loadu_pd(ao.add(i));
-                let vo1 = _mm512_loadu_pd(o.add(i + 8));
-                let vb1 = _mm512_loadu_pd(ao.add(i + 8));
-                _mm512_storeu_pd(ao.add(i), _mm512_max_pd(vo0, vb0));
-                _mm512_storeu_pd(ao.add(i + 8), _mm512_max_pd(vo1, vb1));
-            }
-            i += 16;
-        }
-        while i < head {
-            // SAFETY: i + 8 <= head <= n for every slice.
-            unsafe {
-                let vy = _mm512_loadu_pd(y.add(i));
-                let va = _mm512_loadu_pd(ay.add(i));
-                _mm512_storeu_pd(ay.add(i), _mm512_add_pd(va, vy));
-                let vo = _mm512_loadu_pd(o.add(i));
-                let vb = _mm512_loadu_pd(ao.add(i));
-                _mm512_storeu_pd(ao.add(i), _mm512_max_pd(vo, vb));
-            }
-            i += 8;
-        }
-        accumulate_scalar(
-            &mut acc_year[head..],
-            &mut acc_occ[head..],
-            &year[head..],
-            &occ[head..],
-        );
-    }
+/// [`accumulate_body`] compiled with 512-bit AVX-512F lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn accumulate_avx512f(acc_year: &mut [f64], acc_occ: &mut [f64], year: &[f64], occ: &[f64]) {
+    accumulate_body(acc_year, acc_occ, year, occ)
 }
 
 /// Initialises empty accumulators from the *first* segment of a group —
@@ -523,53 +361,134 @@ mod tests {
         )
     }
 
+    /// Slice lengths covering every lane-width tail path (0..=8
+    /// remainders, unrolled or not) plus cache-line-straddling sizes.
+    const LENGTHS: [usize; 19] = [
+        0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 129, 1000, 1021,
+    ];
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn every_level_matches_scalar_bitwise() {
-        for n in [0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 1000] {
-            let (year, occ) = test_slices(n, 42);
-            let (mut ref_y, mut ref_o) = test_slices(n, 7);
+        for (case, n) in LENGTHS.into_iter().enumerate() {
+            let (year, occ) = test_slices(n, 42 + case as u64);
+            let (acc_y0, acc_o0) = test_slices(n, 1042 + case as u64);
+            let (mut ref_y, mut ref_o) = (acc_y0.clone(), acc_o0.clone());
+            accumulate_fused_at(SimdLevel::Scalar, &mut ref_y, &mut ref_o, &year, &occ);
             for level in available_levels() {
-                let (mut acc_y, mut acc_o) = (ref_y.clone(), ref_o.clone());
+                let (mut acc_y, mut acc_o) = (acc_y0.clone(), acc_o0.clone());
                 accumulate_fused_at(level, &mut acc_y, &mut acc_o, &year, &occ);
-                accumulate_fused_at(SimdLevel::Scalar, &mut ref_y, &mut ref_o, &year, &occ);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&acc_y), bits(&ref_y), "{} year n={n}", level.name());
                 assert_eq!(bits(&acc_o), bits(&ref_o), "{} occ n={n}", level.name());
             }
         }
     }
 
+    /// Every level runs one body, so comparing levels with each other
+    /// cannot catch a wrong tie rule in that body.  This pins the body
+    /// against the hardware's own `ADDPD` / `MAXPD` instead, on every
+    /// pairing of signed zeros, denormals, equal values and NaN, plus the
+    /// pseudo-random slices.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn body_matches_sse2_add_and_max_bitwise() {
+        use core::arch::x86_64::{_mm_add_pd, _mm_cvtsd_f64, _mm_max_pd, _mm_set_sd};
+
+        /// The fused pass element by element in lane 0 of the SSE2
+        /// intrinsics.
+        #[target_feature(enable = "sse2")]
+        fn sse2_reference(
+            acc_year: &[f64],
+            acc_occ: &[f64],
+            year: &[f64],
+            occ: &[f64],
+        ) -> (Vec<f64>, Vec<f64>) {
+            let (mut sum, mut max) = (Vec::new(), Vec::new());
+            for i in 0..year.len() {
+                let (ay, y) = (_mm_set_sd(acc_year[i]), _mm_set_sd(year[i]));
+                sum.push(_mm_cvtsd_f64(_mm_add_pd(ay, y)));
+                // MAXPD(src1, src2) returns src2 on a tie or NaN: the
+                // value goes first, the accumulator second.
+                let (o, ao) = (_mm_set_sd(occ[i]), _mm_set_sd(acc_occ[i]));
+                max.push(_mm_cvtsd_f64(_mm_max_pd(o, ao)));
+            }
+            (sum, max)
+        }
+
+        let awkward = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            1.0e18,
+            f64::NAN,
+        ];
+        // Every (accumulator, value) pairing of the awkward values.
+        let pairs = awkward
+            .iter()
+            .flat_map(|&a| awkward.iter().map(move |&v| (a, v)));
+        let (acc, value): (Vec<f64>, Vec<f64>) = pairs.unzip();
+        let mut cases = vec![(acc.clone(), acc, value.clone(), value)];
+        for (case, n) in LENGTHS.into_iter().enumerate() {
+            let (year, occ) = test_slices(n, 7 + case as u64);
+            let (acc_year, acc_occ) = test_slices(n, 1007 + case as u64);
+            cases.push((acc_year, acc_occ, year, occ));
+        }
+        for (acc_y0, acc_o0, year, occ) in &cases {
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            let (want_y, want_o) = unsafe { sse2_reference(acc_y0, acc_o0, year, occ) };
+            let n = year.len();
+            for level in available_levels() {
+                let (mut acc_y, mut acc_o) = (acc_y0.clone(), acc_o0.clone());
+                accumulate_fused_at(level, &mut acc_y, &mut acc_o, year, occ);
+                assert_eq!(bits(&acc_y), bits(&want_y), "{} year n={n}", level.name());
+                assert_eq!(bits(&acc_o), bits(&want_o), "{} occ n={n}", level.name());
+            }
+        }
+    }
+
     #[test]
     fn init_matches_accumulate_into_zero_identity() {
-        let (year, occ) = test_slices(129, 99);
-        let (mut init_y, mut init_o) = (Vec::new(), Vec::new());
-        init_fused(&mut init_y, &mut init_o, &year, &occ);
-        let (mut zero_y, mut zero_o) = (vec![0.0; 129], vec![0.0; 129]);
-        accumulate_fused_at(SimdLevel::Scalar, &mut zero_y, &mut zero_o, &year, &occ);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&init_y), bits(&zero_y), "-0.0 must normalise to +0.0");
-        assert_eq!(bits(&init_o), bits(&zero_o));
+        for (case, n) in LENGTHS.into_iter().enumerate() {
+            let (year, occ) = test_slices(n, 99 + case as u64);
+            let (mut init_y, mut init_o) = (Vec::new(), Vec::new());
+            init_fused(&mut init_y, &mut init_o, &year, &occ);
+            let (mut zero_y, mut zero_o) = (vec![0.0; n], vec![0.0; n]);
+            accumulate_fused_at(SimdLevel::Scalar, &mut zero_y, &mut zero_o, &year, &occ);
+            assert_eq!(bits(&init_y), bits(&zero_y), "-0.0 must normalise to +0.0");
+            assert_eq!(bits(&init_o), bits(&zero_o));
+        }
     }
 
     #[test]
     fn retain_matches_branchy_reference() {
-        let (year, occ) = test_slices(257, 1234);
         let range = LossRange {
             min: 1.0e5,
             max: 8.0e5,
         };
-        let (mut ref_y, mut ref_o) = (Vec::new(), Vec::new());
-        for (&y, &o) in year.iter().zip(&occ) {
-            if range.contains(y) {
-                ref_y.push(y);
-                ref_o.push(o);
+        let mut dropped = 0;
+        for (case, n) in LENGTHS.into_iter().chain([257]).enumerate() {
+            let (year, occ) = test_slices(n, 1234 + case as u64);
+            let (mut ref_y, mut ref_o) = (Vec::new(), Vec::new());
+            for (&y, &o) in year.iter().zip(&occ) {
+                if range.contains(y) {
+                    ref_y.push(y);
+                    ref_o.push(o);
+                }
             }
+            let (mut got_y, mut got_o) = (year.clone(), occ.clone());
+            retain_fused(&mut got_y, &mut got_o, range);
+            assert_eq!(bits(&got_y), bits(&ref_y), "year n={n}");
+            assert_eq!(bits(&got_o), bits(&ref_o), "occ n={n}");
+            dropped += year.len() - got_y.len();
         }
-        let (mut got_y, mut got_o) = (year.clone(), occ.clone());
-        retain_fused(&mut got_y, &mut got_o, range);
-        assert_eq!(got_y, ref_y);
-        assert_eq!(got_o, ref_o);
-        assert!(got_y.len() < year.len(), "range must actually drop trials");
+        assert!(dropped > 0, "range must actually drop trials");
     }
 
     #[test]

@@ -88,6 +88,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod dims;
 pub mod exec;

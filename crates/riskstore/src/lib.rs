@@ -159,6 +159,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod commit;
 pub mod footer;

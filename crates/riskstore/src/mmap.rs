@@ -81,6 +81,8 @@ mod sys {
     // SAFETY: the mapping is read-only (PROT_READ) and owned; it can be
     // read from any thread, and unmapping happens exactly once on drop.
     unsafe impl Send for RawMap {}
+    // SAFETY: `&RawMap` only hands out `&[u8]` views of read-only
+    // (PROT_READ) pages, which any number of threads may read at once.
     unsafe impl Sync for RawMap {}
 
     impl RawMap {

@@ -38,6 +38,8 @@
 //!   the old static one-contiguous-chunk-per-worker split, which is the
 //!   baseline the `scan_kernel` gate compares against.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
